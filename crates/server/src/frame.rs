@@ -10,6 +10,10 @@
 //! corrupted frame is *rejected with a typed error*, never decoded into
 //! silently wrong events.
 //!
+//! The server's hot path builds OUTPUT frames with [`append_output`]:
+//! length prefix and envelope written straight into a batch buffer and
+//! sealed in place, byte-identical to [`write_frame`] of [`encode_frame`].
+//!
 //! ## Conversation shape
 //!
 //! ```text
@@ -37,9 +41,9 @@
 
 use std::io::{self, Read, Write};
 
-use sequin_engine::{DisorderPolicy, OutputKind};
+use sequin_engine::{DisorderPolicy, OutputItem, OutputKind};
 use sequin_runtime::RuntimeStats;
-use sequin_types::codec::{open_envelope, seal_envelope};
+use sequin_types::codec::{begin_envelope, open_envelope, seal_envelope_at};
 use sequin_types::{ArrivalSeq, CodecError, Decode, Encode, EventRef, Reader, Timestamp, Writer};
 
 use crate::stats::ServerStats;
@@ -227,6 +231,57 @@ pub struct OutputFrame {
     pub emit_clock: Timestamp,
 }
 
+impl OutputFrame {
+    /// This frame as an [`OutputRef`].
+    pub fn borrowed(&self) -> OutputRef<'_> {
+        OutputRef {
+            query_id: self.query_id,
+            kind: self.kind,
+            events: &self.events,
+            emit_seq: self.emit_seq,
+            emit_clock: self.emit_clock,
+        }
+    }
+}
+
+/// An OUTPUT frame's fields, borrowed: what [`append_output`] encodes,
+/// read straight off an engine output without copying its events.
+#[derive(Debug, Clone, Copy)]
+pub struct OutputRef<'a> {
+    /// Dense registration index of the query that produced the match.
+    pub query_id: u64,
+    /// Insert or retract.
+    pub kind: OutputKind,
+    /// The matched events, in slot order.
+    pub events: &'a [EventRef],
+    /// Arrival sequence number at which the server emitted this.
+    pub emit_seq: ArrivalSeq,
+    /// The server engine clock at emission.
+    pub emit_clock: Timestamp,
+}
+
+impl<'a> OutputRef<'a> {
+    /// The OUTPUT frame for `item`, produced by query `query_id`.
+    pub fn of(query_id: u64, item: &'a OutputItem) -> OutputRef<'a> {
+        OutputRef {
+            query_id,
+            kind: item.kind,
+            events: item.m.events(),
+            emit_seq: item.emit_seq,
+            emit_clock: item.emit_clock,
+        }
+    }
+
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(7);
+        w.put_u64(self.query_id);
+        w.put_u8(kind_tag(self.kind));
+        self.events.encode(w);
+        self.emit_seq.encode(w);
+        self.emit_clock.encode(w);
+    }
+}
+
 /// Every message of the wire protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
@@ -403,6 +458,37 @@ pub(crate) fn policy_from_wire(mode: u8, knob: u8) -> Result<Option<DisorderPoli
 /// carries, *without* the `u32` length prefix).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut w = Writer::new();
+    let envelope = begin_envelope(&mut w);
+    encode_payload(frame, &mut w);
+    seal_envelope_at(&mut w, envelope);
+    w.into_bytes()
+}
+
+/// Appends one OUTPUT frame to `wire` as it goes on the wire: the `u32`
+/// length prefix, then the sealed envelope, sealed in place. The bytes
+/// are those [`write_frame`] writes for `encode_frame(&Frame::Output(..))`.
+///
+/// A frame longer than [`MAX_FRAME_LEN`] is an
+/// [`io::ErrorKind::InvalidInput`] error and leaves `wire` as it was.
+pub fn append_output(wire: &mut Writer, output: OutputRef<'_>) -> io::Result<()> {
+    let start = wire.len();
+    wire.put_u32(0);
+    let envelope = begin_envelope(wire);
+    output.encode(wire);
+    seal_envelope_at(wire, envelope);
+    match frame_len(wire.len() - envelope) {
+        Ok(len) => {
+            wire.patch_u32(start, len);
+            Ok(())
+        }
+        Err(e) => {
+            wire.truncate(start);
+            Err(e)
+        }
+    }
+}
+
+fn encode_payload(frame: &Frame, w: &mut Writer) {
     match frame {
         Frame::Hello {
             fingerprint,
@@ -424,15 +510,15 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         }
         Frame::Event(e) => {
             w.put_u8(2);
-            e.encode(&mut w);
+            e.encode(w);
         }
         Frame::EventBatch(events) => {
             w.put_u8(3);
-            events.encode(&mut w);
+            events.encode(w);
         }
         Frame::Punctuation(t) => {
             w.put_u8(4);
-            t.encode(&mut w);
+            t.encode(w);
         }
         Frame::Subscribe { query, policy } => {
             w.put_u8(5);
@@ -448,21 +534,14 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.put_u8(mode);
             w.put_u8(knob);
         }
-        Frame::Output(o) => {
-            w.put_u8(7);
-            w.put_u64(o.query_id);
-            w.put_u8(kind_tag(o.kind));
-            o.events.encode(&mut w);
-            o.emit_seq.encode(&mut w);
-            o.emit_clock.encode(&mut w);
-        }
+        Frame::Output(o) => o.borrowed().encode(w),
         Frame::StatsReq => {
             w.put_u8(8);
         }
         Frame::StatsReply { server, engine } => {
             w.put_u8(9);
-            server.encode(&mut w);
-            engine.encode(&mut w);
+            server.encode(w);
+            engine.encode(w);
         }
         Frame::Drain => {
             w.put_u8(10);
@@ -503,7 +582,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.put_str(body);
         }
     }
-    seal_envelope(&w.into_bytes())
 }
 
 /// Validates a sealed envelope and decodes the frame inside.
@@ -585,15 +663,36 @@ pub fn decode_frame(sealed: &[u8]) -> Result<Frame, CodecError> {
 /// Writes one length-prefixed frame (`u32` LE length, then the sealed
 /// envelope) and flushes.
 pub fn write_frame(w: &mut impl Write, sealed: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(sealed.len())
-        .ok()
-        .filter(|l| *l <= MAX_FRAME_LEN)
-        .ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds MAX_FRAME_LEN")
-        })?;
-    w.write_all(&len.to_le_bytes())?;
+    w.write_all(&frame_len(sealed.len())?.to_le_bytes())?;
     w.write_all(sealed)?;
     w.flush()
+}
+
+/// The length prefix of a `len`-byte sealed envelope; an
+/// [`io::ErrorKind::InvalidInput`] error past [`MAX_FRAME_LEN`].
+pub(crate) fn frame_len(len: usize) -> io::Result<u32> {
+    u32::try_from(len)
+        .ok()
+        .filter(|l| *l <= MAX_FRAME_LEN)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds MAX_FRAME_LEN"))
+}
+
+/// Splits the first length-prefixed frame off `wire`, returning its
+/// sealed envelope and the bytes after it. A torn or oversized prefix is
+/// an [`io::ErrorKind::InvalidData`] error.
+pub(crate) fn split_frame(wire: &[u8]) -> io::Result<(&[u8], &[u8])> {
+    let torn = || io::Error::new(io::ErrorKind::InvalidData, "torn frame in wire buffer");
+    let prefix: [u8; 4] = wire
+        .get(..4)
+        .and_then(|p| p.try_into().ok())
+        .ok_or_else(torn)?;
+    let len = u32::from_le_bytes(prefix);
+    if len > MAX_FRAME_LEN {
+        return Err(torn());
+    }
+    let end = 4 + len as usize;
+    let sealed = wire.get(4..end).ok_or_else(torn)?;
+    Ok((sealed, &wire[end..]))
 }
 
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF at
@@ -629,6 +728,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sequin_types::codec::seal_envelope;
     use sequin_types::{Event, EventId, EventTypeId, Value};
     use std::sync::Arc;
 
@@ -1060,6 +1160,96 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    fn output(kind: OutputKind, events: usize) -> OutputFrame {
+        OutputFrame {
+            query_id: 3,
+            kind,
+            events: (0..events as u64)
+                .map(|i| sample_event(i, 40 + i))
+                .collect(),
+            emit_seq: ArrivalSeq::new(21),
+            emit_clock: Timestamp::new(90),
+        }
+    }
+
+    fn reference_wire(o: &OutputFrame) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &encode_frame(&Frame::Output(o.clone()))).unwrap();
+        wire
+    }
+
+    /// The batched encoder writes exactly the bytes the reference path
+    /// (`write_frame` of `encode_frame`) puts on the wire, alone or
+    /// appended after other frames, and a buffer of several reads back
+    /// frame by frame.
+    #[test]
+    fn append_output_matches_the_reference_encoder() {
+        let cases: Vec<OutputFrame> = [OutputKind::Insert, OutputKind::Retract]
+            .into_iter()
+            .flat_map(|kind| [0, 1, 9].map(|n| output(kind, n)))
+            .collect();
+        let mut batch = Writer::new();
+        for o in &cases {
+            let mut alone = Writer::new();
+            append_output(&mut alone, o.borrowed()).unwrap();
+            assert_eq!(alone.as_bytes(), &reference_wire(o)[..], "{o:?}");
+            append_output(&mut batch, o.borrowed()).unwrap();
+        }
+        let reference: Vec<u8> = cases.iter().flat_map(reference_wire).collect();
+        assert_eq!(batch.as_bytes(), &reference[..]);
+
+        let mut cursor = io::Cursor::new(batch.as_bytes());
+        for o in &cases {
+            let sealed = read_frame(&mut cursor).unwrap().expect("frame present");
+            assert_eq!(decode_frame(&sealed).unwrap(), Frame::Output(o.clone()));
+        }
+        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Pins one OUTPUT frame's wire bytes, length prefix to checksum, as
+    /// the encoder wrote them before sealing moved in place. Both
+    /// encoders and `seal_envelope` must keep producing them.
+    #[test]
+    fn output_wire_bytes_are_pinned() {
+        const PINNED: [&str; 4] = [
+            "720000005351434b01005c000000000000000701000000000000000101000000",
+            "0000000003000000000000000100000032000000000000000300000000000000",
+            "020000000000000000fdffffffffffffff020400000000000000776972650c00",
+            "0000000000004100000000000000a1e33f59de393266",
+        ];
+        let o = OutputFrame {
+            query_id: 1,
+            kind: OutputKind::Retract,
+            events: vec![sample_event(3, 50)],
+            emit_seq: ArrivalSeq::new(12),
+            emit_clock: Timestamp::new(65),
+        };
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(hex(&reference_wire(&o)), PINNED.concat());
+        let mut batched = Writer::new();
+        append_output(&mut batched, o.borrowed()).unwrap();
+        assert_eq!(hex(batched.as_bytes()), PINNED.concat());
+        let sealed = encode_frame(&Frame::Output(o));
+        assert_eq!(seal_envelope(open_envelope(&sealed).unwrap()), sealed);
+    }
+
+    #[test]
+    fn oversized_output_is_refused_and_leaves_the_buffer_intact() {
+        let mut wire = Writer::new();
+        append_output(&mut wire, output(OutputKind::Insert, 1).borrowed()).unwrap();
+        let before = wire.as_bytes().to_vec();
+        let huge = Arc::new(
+            Event::builder(EventTypeId::from_index(1), Timestamp::new(1))
+                .attr(Value::str("x".repeat(MAX_FRAME_LEN as usize)))
+                .build(),
+        );
+        let mut o = output(OutputKind::Insert, 0);
+        o.events.push(huge);
+        let err = append_output(&mut wire, o.borrowed()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(wire.as_bytes(), &before[..]);
     }
 
     #[test]

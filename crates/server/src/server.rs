@@ -11,6 +11,13 @@
 //! them, and a `DRAIN_ACK` is written only after every output the drain
 //! triggered.
 //!
+//! Outputs leave once per engine batch (one coalesced `ingest_batch`, or
+//! one drain). Each output is encoded once, however many connections
+//! subscribe to its query, and each subscriber gets its frames of the
+//! batch in one write. A buffer that reaches 64 KiB is written out early.
+//! A subscriber whose write fails is detached and its connection closed;
+//! the others carry on.
+//!
 //! ## Backpressure
 //!
 //! The queue is bounded. A reader first `try_send`s; on a full queue it
@@ -33,6 +40,7 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
@@ -40,12 +48,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use sequin_engine::CheckpointStore;
-use sequin_types::StreamItem;
+use sequin_types::{StreamItem, Writer};
 
 use crate::core::{CoreConfig, EngineCore};
 use crate::frame::{
-    decode_frame, encode_frame, ErrorCode, Frame, MetricsFormat, OutputFrame, TraceFormat,
-    TRACE_ALL_OUTPUTS, TRACE_ALL_QUERIES,
+    append_output, decode_frame, encode_frame, ErrorCode, Frame, MetricsFormat, OutputRef,
+    TraceFormat, TRACE_ALL_OUTPUTS, TRACE_ALL_QUERIES,
 };
 use crate::stats::ServerStats;
 use crate::transport::{FrameSink, TcpTransport, Transport};
@@ -322,34 +330,135 @@ fn persist_if_dirty(core: &mut EngineCore, store_path: &Option<PathBuf>) {
 /// the checkpoint-persist cadence bounded even under a saturated queue.
 const MAX_ENGINE_BATCH: usize = 256;
 
+/// Encoded OUTPUT bytes past which a batch's frames are written out
+/// before the batch ends, so a large DRAIN never buffers all of its
+/// outputs at once.
+const FLUSH_BYTES: usize = 64 * 1024;
+
+/// A connection that subscribed to at least one query.
+struct Subscriber {
+    sink: Arc<dyn FrameSink>,
+    queries: Vec<usize>,
+    /// Indices of the buffered frames this connection takes, in order;
+    /// empty between flushes.
+    picked: Vec<usize>,
+}
+
+/// The engine thread's OUTPUT path. Each output is encoded once, straight
+/// into a wire buffer shared by every subscriber of its query; each
+/// subscriber then gets its frames of the batch in one send.
+#[derive(Default)]
+struct Delivery {
+    subscribers: HashMap<u64, Subscriber>,
+    /// Query index → the connections subscribed to it.
+    by_query: Vec<Vec<u64>>,
+    /// Length-prefixed OUTPUT frames not yet written.
+    wire: Writer,
+    /// Each buffered frame's byte range in `wire`.
+    frames: Vec<Range<usize>>,
+    /// Connections with a non-empty `picked`, in first-pick order.
+    touched: Vec<u64>,
+    /// Gathers a connection's frames when it takes only some of them.
+    scratch: Vec<u8>,
+}
+
+impl Delivery {
+    fn subscribe(&mut self, conn: u64, sink: &Arc<dyn FrameSink>, query: usize) {
+        let sub = self.subscribers.entry(conn).or_insert_with(|| Subscriber {
+            sink: sink.clone(),
+            queries: Vec::new(),
+            picked: Vec::new(),
+        });
+        if sub.queries.contains(&query) {
+            return;
+        }
+        sub.queries.push(query);
+        if self.by_query.len() <= query {
+            self.by_query.resize_with(query + 1, Vec::new);
+        }
+        self.by_query[query].push(conn);
+    }
+
+    /// Forgets `conn`; its sink is returned so a failed one can be closed.
+    fn disconnect(&mut self, conn: u64) -> Option<Arc<dyn FrameSink>> {
+        let sub = self.subscribers.remove(&conn)?;
+        for q in sub.queries {
+            self.by_query[q].retain(|c| *c != conn);
+        }
+        Some(sub.sink)
+    }
+
+    /// Writes one engine batch's outputs to their subscribers, in engine
+    /// order, and returns the frames written.
+    fn deliver(&mut self, outputs: &[(sequin_engine::QueryId, sequin_engine::OutputItem)]) -> u64 {
+        let mut sent = 0;
+        for (qid, item) in outputs {
+            let query = qid.index();
+            let conns = match self.by_query.get(query) {
+                Some(conns) if !conns.is_empty() => conns,
+                _ => continue,
+            };
+            let start = self.wire.len();
+            // an oversized frame cannot be sent and is skipped
+            if append_output(&mut self.wire, OutputRef::of(query as u64, item)).is_err() {
+                continue;
+            }
+            let ix = self.frames.len();
+            self.frames.push(start..self.wire.len());
+            for conn in conns {
+                let sub = self.subscribers.get_mut(conn).expect("indexed");
+                if sub.picked.is_empty() {
+                    self.touched.push(*conn);
+                }
+                sub.picked.push(ix);
+            }
+            if self.wire.len() >= FLUSH_BYTES {
+                sent += self.flush();
+            }
+        }
+        sent + self.flush()
+    }
+
+    /// One send per touched connection. A connection whose send fails is
+    /// detached and its sink closed; it resumes by reconnecting.
+    fn flush(&mut self) -> u64 {
+        let (mut sent, mut failed) = (0, Vec::new());
+        for conn in self.touched.drain(..) {
+            let sub = self.subscribers.get_mut(&conn).expect("touched");
+            let bytes = if sub.picked.len() == self.frames.len() {
+                self.wire.as_bytes()
+            } else {
+                self.scratch.clear();
+                for &ix in &sub.picked {
+                    self.scratch
+                        .extend_from_slice(&self.wire.as_bytes()[self.frames[ix].clone()]);
+                }
+                &self.scratch
+            };
+            match sub.sink.send_frames(bytes) {
+                Ok(()) => sent += sub.picked.len() as u64,
+                Err(_) => failed.push(conn),
+            }
+            sub.picked.clear();
+        }
+        self.wire.clear();
+        self.frames.clear();
+        for conn in failed {
+            if let Some(sink) = self.disconnect(conn) {
+                sink.close();
+            }
+        }
+        sent
+    }
+}
+
 fn engine_loop(
     mut core: EngineCore,
     rx: mpsc::Receiver<EngineMsg>,
     shared: Arc<Shared>,
     store_path: Option<PathBuf>,
 ) {
-    // conn id → (reply sink, queries that conn subscribed to)
-    let mut subscribers: HashMap<u64, (Arc<dyn FrameSink>, Vec<usize>)> = HashMap::new();
-
-    let deliver =
-        |subscribers: &HashMap<u64, (Arc<dyn FrameSink>, Vec<usize>)>,
-         shared: &Shared,
-         outputs: Vec<(sequin_engine::QueryId, sequin_engine::OutputItem)>| {
-            for (qid, item) in outputs {
-                let frame = Frame::Output(OutputFrame {
-                    query_id: qid.index() as u64,
-                    kind: item.kind,
-                    events: item.m.events().to_vec(),
-                    emit_seq: item.emit_seq,
-                    emit_clock: item.emit_clock,
-                });
-                for (sink, queries) in subscribers.values() {
-                    if queries.contains(&qid.index()) {
-                        shared.send(sink, &frame);
-                    }
-                }
-            }
-        };
+    let mut delivery = Delivery::default();
 
     // A non-Ingest message pulled off the queue while coalescing a batch;
     // handled on the next loop turn so ordering is preserved.
@@ -381,11 +490,12 @@ fn engine_loop(
                 shared.depth.fetch_sub(batch.len(), Ordering::SeqCst);
                 let outputs = core.ingest_batch(&batch);
                 shared.resume_from.store(core.position(), Ordering::SeqCst);
+                let sent = delivery.deliver(&outputs);
                 shared.with_stats(|s| {
                     s.engine_batches += 1;
                     s.max_engine_batch = s.max_engine_batch.max(batch.len() as u64);
+                    s.frames_sent += sent;
                 });
-                deliver(&subscribers, &shared, outputs);
                 persist_if_dirty(&mut core, &store_path);
             }
             EngineMsg::Subscribe {
@@ -398,12 +508,7 @@ fn engine_loop(
                     shared
                         .query_count
                         .store(core.query_count(), Ordering::SeqCst);
-                    let entry = subscribers
-                        .entry(conn)
-                        .or_insert_with(|| (sink.clone(), Vec::new()));
-                    if !entry.1.contains(&qid.index()) {
-                        entry.1.push(qid.index());
-                    }
+                    delivery.subscribe(conn, &sink, qid.index());
                     shared.with_stats(|s| s.subscriptions += 1);
                     shared.send(
                         &sink,
@@ -472,14 +577,16 @@ fn engine_loop(
                     );
                     continue;
                 }
-                let outputs = core.finish();
-                deliver(&subscribers, &shared, outputs);
+                let sent = delivery.deliver(&core.finish());
                 persist_if_dirty(&mut core, &store_path);
-                shared.with_stats(|s| s.drains += 1);
+                shared.with_stats(|s| {
+                    s.drains += 1;
+                    s.frames_sent += sent;
+                });
                 shared.send(&sink, &Frame::DrainAck);
             }
             EngineMsg::Disconnect { conn } => {
-                subscribers.remove(&conn);
+                delivery.disconnect(conn);
             }
             EngineMsg::Crash => return,
             EngineMsg::Shutdown => {

@@ -7,6 +7,8 @@
 //!   (still-sealed) frames.
 //! * [`FrameSink`] — the shareable send side; the server's engine thread
 //!   and a session's reader thread both hold `Arc<dyn FrameSink>` clones.
+//!   Besides single frames it takes a whole run of length-prefixed frames
+//!   at once ([`FrameSink::send_frames`]), which TCP writes in one call.
 //!
 //! [`TcpTransport`] wraps a `TcpStream` pair (reader + `try_clone`d
 //! writer). [`MemTransport`] is a socketless loopback whose send path
@@ -15,21 +17,38 @@
 //! the encoder and the decoder exactly where a flaky network would.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use sequin_netsim::FramePlan;
 
-use crate::frame::read_frame;
+use crate::frame::{frame_len, read_frame, split_frame};
 
-/// The send half of a connection: accepts one sealed frame at a time.
+/// The send half of a connection: accepts sealed frames one at a time or
+/// as a run already in wire format.
 ///
 /// Implementations serialize concurrent senders internally, so an
 /// `Arc<dyn FrameSink>` may be shared freely across threads.
 pub trait FrameSink: Send + Sync {
     /// Writes one sealed frame (length-prefixing is the sink's job).
     fn send_frame(&self, sealed: &[u8]) -> io::Result<()>;
+
+    /// Writes a run of frames already in wire format: each one a `u32`
+    /// length prefix and a sealed envelope, back to back (see
+    /// [`crate::frame::append_output`]). The frames arrive in order.
+    ///
+    /// The default sends each frame through [`FrameSink::send_frame`];
+    /// the TCP sink writes the whole run in one call.
+    fn send_frames(&self, wire: &[u8]) -> io::Result<()> {
+        let mut rest = wire;
+        while !rest.is_empty() {
+            let (sealed, tail) = split_frame(rest)?;
+            self.send_frame(sealed)?;
+            rest = tail;
+        }
+        Ok(())
+    }
 
     /// Tears the connection down; subsequent sends fail and the peer's
     /// receive side observes end-of-stream.
@@ -63,8 +82,17 @@ struct TcpSink {
 
 impl FrameSink for TcpSink {
     fn send_frame(&self, sealed: &[u8]) -> io::Result<()> {
-        let mut s = lock_ignoring_poison(&self.stream);
-        crate::frame::write_frame(&mut *s, sealed)
+        // prefix and envelope in one write: one syscall, one segment
+        let mut wire = Vec::with_capacity(4 + sealed.len());
+        wire.extend_from_slice(&frame_len(sealed.len())?.to_le_bytes());
+        wire.extend_from_slice(sealed);
+        self.send_frames(&wire)
+    }
+
+    fn send_frames(&self, wire: &[u8]) -> io::Result<()> {
+        // one write under the lock: a session reader's BUSY or ERROR can
+        // only land between batches, never inside a frame
+        lock_ignoring_poison(&self.stream).write_all(wire)
     }
 
     fn close(&self) {
@@ -338,6 +366,56 @@ mod tests {
         sink.close();
         assert_eq!(b.recv_frame().unwrap(), Some(frame(9)));
         assert_eq!(b.recv_frame().unwrap(), None);
+    }
+
+    /// Frames 1..6 as one length-prefixed wire buffer.
+    fn batch_of_five() -> Vec<u8> {
+        let mut wire = Vec::new();
+        for n in 1..6 {
+            crate::frame::write_frame(&mut wire, &frame(n)).unwrap();
+        }
+        wire
+    }
+
+    /// A batched send routes each frame through the fault plan under its
+    /// own frame index, counted on from the frames sent singly before it,
+    /// so a fault aimed at frame k hits frame k and nothing else.
+    #[test]
+    fn batched_send_faults_exactly_the_named_frame() {
+        for k in 0..6u8 {
+            let plan = FramePlan::clean().flip_frame(u64::from(k), 0);
+            let (a, mut b) = mem_pair(plan, FramePlan::clean());
+            let sink = a.sink();
+            sink.send_frame(&frame(0)).unwrap();
+            sink.send_frames(&batch_of_five()).unwrap();
+            for n in 0..6 {
+                let got = b.recv_frame().unwrap().unwrap();
+                assert_eq!(got.len(), 4);
+                assert_eq!(got == frame(n), n != k, "flip aimed at {k}, frame {n}");
+            }
+
+            // frame k held for two later frames, or until close
+            let plan = FramePlan::clean().delay_frame(u64::from(k), 2);
+            let (a, mut b) = mem_pair(plan, FramePlan::clean());
+            let sink = a.sink();
+            sink.send_frame(&frame(0)).unwrap();
+            sink.send_frames(&batch_of_five()).unwrap();
+            sink.close();
+            let mut want: Vec<u8> = (0..6).filter(|n| *n != k).collect();
+            want.insert(usize::from(k + 2).min(5), k);
+            for n in want {
+                assert_eq!(b.recv_frame().unwrap(), Some(frame(n)), "hold aimed at {k}");
+            }
+            assert_eq!(b.recv_frame().unwrap(), None);
+        }
+    }
+
+    #[test]
+    fn torn_batch_is_refused() {
+        let (a, _b) = mem_pair(FramePlan::clean(), FramePlan::clean());
+        let wire = batch_of_five();
+        let err = a.sink().send_frames(&wire[..wire.len() - 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

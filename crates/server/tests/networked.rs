@@ -1,14 +1,15 @@
 //! End-to-end protocol tests: real sockets, faulty links, crashed servers.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
 use sequin_engine::{DisorderPolicy, EngineConfig, Strategy};
 use sequin_netsim::{delay_shuffle, punctuate, FramePlan};
 use sequin_server::{
-    loopback_run, mem_pair, Client, ClientError, CoreConfig, EngineCore, ErrorCode, Server,
-    ServerConfig,
+    loopback_run, mem_pair, Client, ClientError, CoreConfig, EngineCore, ErrorCode, FrameSink,
+    MemTransport, OutputFrame, Server, ServerConfig, Transport,
 };
 use sequin_types::{Duration, StreamItem, TypeRegistry};
 use sequin_workload::{Synthetic, SyntheticConfig};
@@ -444,4 +445,117 @@ fn resubscribing_a_query_keeps_its_original_policy() {
     // and a default-policy request on a fresh text binds the server's
     let (_, effective) = client.subscribe_with_policy(Q12, None).unwrap();
     assert_eq!(effective, DisorderPolicy::Conservative);
+}
+
+/// The server side of a connection whose send half can be broken on
+/// demand while its receive half stays open, so the engine, not the
+/// session reader, is the first to see the failure.
+struct BreakableSink {
+    inner: Arc<dyn FrameSink>,
+    broken: Arc<AtomicBool>,
+    failed_sends: Arc<AtomicU64>,
+    closed: Arc<AtomicBool>,
+}
+
+impl FrameSink for BreakableSink {
+    fn send_frame(&self, sealed: &[u8]) -> std::io::Result<()> {
+        if self.broken.load(Ordering::SeqCst) {
+            self.failed_sends.fetch_add(1, Ordering::SeqCst);
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        self.inner.send_frame(sealed)
+    }
+
+    fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+        self.inner.close();
+    }
+}
+
+struct BreakableTransport {
+    inner: MemTransport,
+    sink: Arc<BreakableSink>,
+}
+
+impl Transport for BreakableTransport {
+    fn recv_frame(&mut self) -> std::io::Result<Option<Vec<u8>>> {
+        self.inner.recv_frame()
+    }
+
+    fn sink(&self) -> Arc<dyn FrameSink> {
+        self.sink.clone()
+    }
+}
+
+#[test]
+fn failed_output_write_detaches_only_that_subscriber() {
+    let (reg, stream) = workload(400, 71);
+    let core = core_config(&reg, DisorderPolicy::Conservative);
+    let mut oracle = EngineCore::new(core.clone());
+    oracle.subscribe(Q01).unwrap();
+    let mut expected = Vec::new();
+    for item in &stream {
+        expected.extend(oracle.ingest(item));
+    }
+    expected.extend(oracle.finish());
+    let expected: Vec<OutputFrame> = expected
+        .iter()
+        .map(|(qid, o)| OutputFrame {
+            query_id: qid.index() as u64,
+            kind: o.kind,
+            events: o.m.events().to_vec(),
+            emit_seq: o.emit_seq,
+            emit_clock: o.emit_clock,
+        })
+        .collect();
+
+    let mut server = Server::start(ServerConfig::new(core)).unwrap();
+    let (a_client, a_server) = mem_pair(FramePlan::clean(), FramePlan::clean());
+    let broken = Arc::new(AtomicBool::new(false));
+    let failed_sends = Arc::new(AtomicU64::new(0));
+    let closed = Arc::new(AtomicBool::new(false));
+    let sink = Arc::new(BreakableSink {
+        inner: a_server.sink(),
+        broken: broken.clone(),
+        failed_sends: failed_sends.clone(),
+        closed: closed.clone(),
+    });
+    server.attach(Box::new(BreakableTransport {
+        inner: a_server,
+        sink,
+    }));
+    let mut a = Client::over(Box::new(a_client));
+    a.hello(reg.fingerprint(), "breaks").unwrap();
+    a.subscribe(Q01).unwrap();
+
+    let (b_client, b_server) = mem_pair(FramePlan::clean(), FramePlan::clean());
+    server.attach(Box::new(b_server));
+    let mut b = Client::over(Box::new(b_client));
+    b.hello(reg.fingerprint(), "survives").unwrap();
+    b.subscribe(Q01).unwrap();
+
+    let (first, second) = stream.split_at(stream.len() / 2);
+    for item in first {
+        b.send_item(item).unwrap();
+    }
+    // STATS is answered after every earlier message of the same session
+    b.stats().unwrap();
+    assert!(
+        !a.take_outputs().is_empty(),
+        "A was served before the break"
+    );
+    broken.store(true, Ordering::SeqCst);
+    for item in second {
+        b.send_item(item).unwrap();
+    }
+    b.drain().unwrap();
+
+    assert_eq!(
+        failed_sends.load(Ordering::SeqCst),
+        1,
+        "the engine stops writing to a sink after its first failure"
+    );
+    assert!(closed.load(Ordering::SeqCst), "the failed sink is closed");
+    assert_eq!(b.take_outputs(), expected, "B's stream is exact");
+    server.shutdown();
 }

@@ -140,6 +140,30 @@ impl Writer {
         self.buf.is_empty()
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Drops everything written, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Drops everything written after the first `len` bytes.
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
+    /// Overwrites the little-endian `u32` at byte offset `at`, e.g. a
+    /// length reserved before its value was known.
+    ///
+    /// # Panics
+    /// If `at + 4` exceeds the bytes written.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
     /// Writes one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -184,6 +208,11 @@ impl Writer {
     /// Writes a length-prefixed byte blob (e.g. a nested envelope).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
+        self.put_raw(bytes);
+    }
+
+    /// Writes bytes as they are, with no length prefix.
+    pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 }
@@ -456,12 +485,18 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+impl<T: Encode> Encode for [T] {
     fn encode(&self, w: &mut Writer) {
         w.put_u64(self.len() as u64);
         for v in self {
             v.encode(w);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        self.as_slice().encode(w);
     }
 }
 
@@ -524,16 +559,40 @@ impl Decode for EventRef {
     }
 }
 
+/// Bytes of the envelope header: magic, version, payload length.
+const ENVELOPE_HEADER: usize = 4 + 2 + 8;
+
+/// Starts an envelope at the end of `w`: writes its header with the
+/// payload length left blank and returns where the envelope starts.
+/// Write the payload next, then close with [`seal_envelope_at`].
+pub fn begin_envelope(w: &mut Writer) -> usize {
+    let start = w.len();
+    w.put_raw(&MAGIC);
+    w.put_u16(CODEC_VERSION);
+    w.put_u64(0);
+    start
+}
+
+/// Seals the envelope [`begin_envelope`] started at `start`, in place:
+/// fills in the payload length (everything written since the header) and
+/// appends the fnv1a-64 checksum of the envelope so far.
+pub fn seal_envelope_at(w: &mut Writer, start: usize) {
+    let len_at = start + 6;
+    let payload_len = (w.len() - start - ENVELOPE_HEADER) as u64;
+    w.buf[len_at..len_at + 8].copy_from_slice(&payload_len.to_le_bytes());
+    let sum = fnv1a64(&w.buf[start..]);
+    w.put_u64(sum);
+}
+
 /// Wraps an encoded payload in the checksummed, versioned envelope.
 pub fn seal_envelope(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 22);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&CODEC_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    let sum = fnv1a64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    let mut w = Writer {
+        buf: Vec::with_capacity(ENVELOPE_HEADER + payload.len() + 8),
+    };
+    let start = begin_envelope(&mut w);
+    w.put_raw(payload);
+    seal_envelope_at(&mut w, start);
+    w.into_bytes()
 }
 
 /// Validates an envelope and returns its payload slice.
@@ -542,8 +601,7 @@ pub fn seal_envelope(payload: &[u8]) -> Vec<u8> {
 /// truncated payload, and checksum mismatch. Only after all five checks
 /// pass is a single payload byte handed to a decoder.
 pub fn open_envelope(bytes: &[u8]) -> Result<&[u8], CodecError> {
-    const HEADER: usize = 4 + 2 + 8;
-    if bytes.len() < HEADER + 8 {
+    if bytes.len() < ENVELOPE_HEADER + 8 {
         return Err(CodecError::UnexpectedEof);
     }
     if bytes[..4] != MAGIC {
@@ -553,18 +611,18 @@ pub fn open_envelope(bytes: &[u8]) -> Result<&[u8], CodecError> {
     if version != CODEC_VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
-    let len = u64::from_le_bytes(bytes[6..HEADER].try_into().expect("len 8"));
-    let expected_total = HEADER as u64 + len + 8;
+    let len = u64::from_le_bytes(bytes[6..ENVELOPE_HEADER].try_into().expect("len 8"));
+    let expected_total = ENVELOPE_HEADER as u64 + len + 8;
     if bytes.len() as u64 != expected_total {
         return Err(CodecError::BadLength);
     }
-    let body_end = HEADER + len as usize;
+    let body_end = ENVELOPE_HEADER + len as usize;
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("len 8"));
     let computed = fnv1a64(&bytes[..body_end]);
     if stored != computed {
         return Err(CodecError::ChecksumMismatch { stored, computed });
     }
-    Ok(&bytes[HEADER..body_end])
+    Ok(&bytes[ENVELOPE_HEADER..body_end])
 }
 
 /// Encodes a value and seals it in the envelope in one step.
@@ -667,6 +725,29 @@ mod tests {
     fn envelope_accepts_intact_bytes() {
         let sealed = seal_envelope(b"payload");
         assert_eq!(open_envelope(&sealed).unwrap(), b"payload");
+    }
+
+    /// Pins the envelope layout byte for byte: `SQCK`, version 1 (u16
+    /// LE), payload length (u64 LE), payload, fnv1a-64 of everything
+    /// before it (u64 LE). Sealing in place must not move a single byte.
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        let sealed = seal_envelope(b"abc");
+        let mut want = b"SQCK".to_vec();
+        want.extend_from_slice(&1u16.to_le_bytes());
+        want.extend_from_slice(&3u64.to_le_bytes());
+        want.extend_from_slice(b"abc");
+        want.extend_from_slice(&0x9fbf_b898_5bab_e873u64.to_le_bytes());
+        assert_eq!(sealed, want);
+
+        // sealing after earlier bytes covers only the envelope itself
+        let mut w = Writer::new();
+        w.put_raw(b"prefix");
+        let start = begin_envelope(&mut w);
+        w.put_raw(b"abc");
+        seal_envelope_at(&mut w, start);
+        assert_eq!(&w.as_bytes()[..6], b"prefix");
+        assert_eq!(&w.as_bytes()[6..], &sealed[..]);
     }
 
     #[test]
