@@ -707,6 +707,53 @@ mod tests {
         assert_eq!(fixed.snapshot().unwrap(), snap);
     }
 
+    /// The checkpoint bytes are a compatibility contract. A conservative
+    /// prefix leaves sealed-pending matches; resuming it under the
+    /// speculative policy adds emitted-but-unsealed ones, so both the
+    /// single engine's snapshot and the 2-worker pool's merged snapshot
+    /// carry every section. Each hashes to a recorded constant.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let reg = registry();
+        let q = partitioned_query(&reg);
+        let items = stream(&reg);
+        let (head, tail) = (&items[..120], &items[120..130]);
+        let cfg = |policy| {
+            let mut c = EngineConfig::with_k(Duration::new(60));
+            c.policy = policy;
+            c
+        };
+        let mut conservative = NativeEngine::new(Arc::clone(&q), cfg(DisorderPolicy::Conservative));
+        for it in head {
+            conservative.ingest(it);
+        }
+        let head_snap = conservative.snapshot().unwrap();
+
+        let mut single = NativeEngine::new(Arc::clone(&q), cfg(DisorderPolicy::Speculative));
+        single.restore(&head_snap).unwrap();
+        let mut pool = ShardedEngine::new(q, cfg(DisorderPolicy::Speculative), 2);
+        pool.restore(&head_snap).unwrap();
+        for it in tail {
+            single.ingest(it);
+            pool.ingest(it);
+        }
+        let single_snap = single.snapshot().unwrap();
+        let pool_snap = pool.snapshot().unwrap();
+        let fnv = sequin_types::codec::fnv1a64;
+        assert_eq!(
+            fnv(&single_snap),
+            4278306762480316423,
+            "single len {}",
+            single_snap.len()
+        );
+        assert_eq!(
+            fnv(&pool_snap),
+            4278306762480316423,
+            "pool len {}",
+            pool_snap.len()
+        );
+    }
+
     #[test]
     fn unpartitionable_query_runs_on_overflow_shard() {
         let reg = registry();

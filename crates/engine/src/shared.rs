@@ -1634,6 +1634,16 @@ mod tests {
             );
             assert_eq!(s.negated_matches, m.negated_matches, "negated q{qx}");
             assert_eq!(s.late_drops, m.late_drops, "late_drops q{qx}");
+            // with the window cut-off both walks scan exactly the in-window
+            // candidates; a full scan would also visit the pooled purge's
+            // extra retained entries
+            if config.construct.window_cutoff {
+                assert_eq!(s.dfs_steps, m.dfs_steps, "dfs_steps q{qx}");
+                assert_eq!(
+                    s.predicate_evals, m.predicate_evals,
+                    "predicate_evals q{qx}"
+                );
+            }
             // max_stack_depth may exceed the isolated engine's after a
             // purge: the pooled threshold (min over refs) retains more
             assert!(s.max_stack_depth >= m.max_stack_depth, "max_stack_depth");
@@ -1869,6 +1879,30 @@ mod tests {
         let out = shared.ingest(&item(&reg, "C", 3, 21, 0, 0));
         assert!(out.iter().any(|(q, _)| *q == id2), "survivor still fires");
         assert_eq!(shared.len(), 2, "dense ids stay allocated");
+    }
+
+    /// The checkpoint bytes are a compatibility contract: a snapshot of
+    /// the mixed query set, with lazy queries holding deferred matches and
+    /// the speculative negation query holding unsealed emissions, hashes
+    /// to a recorded constant.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let reg = registry();
+        let mut shared = SharedMultiEngine::new(EngineConfig::default());
+        for (ix, q) in query_set(&reg).into_iter().enumerate() {
+            let policy = if ix % 2 == 0 {
+                DisorderPolicy::Lazy
+            } else {
+                DisorderPolicy::Speculative
+            };
+            shared.register_with_policy(q, policy);
+        }
+        for it in gen_stream(&reg, 13, 200, 90) {
+            shared.ingest(&it);
+        }
+        let snap = shared.snapshot().unwrap();
+        let hash = sequin_types::codec::fnv1a64(&snap);
+        assert_eq!(hash, 6335006597378603233, "len {}", snap.len());
     }
 
     #[test]
