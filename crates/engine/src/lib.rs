@@ -49,6 +49,7 @@
 mod buffer;
 mod checkpoint;
 mod config;
+mod emit;
 mod inorder;
 mod multi;
 mod native;

@@ -1,66 +1,25 @@
 //! Strategy 3: the paper's native out-of-order engine.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use sequin_query::{PartitionScheme, Query};
-use sequin_runtime::{
-    purge, regions, seal_deadline, AisStack, Constructor, Match, NegationIndex, PartitionKey,
-    PartitionMap, RuntimeStats,
-};
+use sequin_runtime::{purge, AisStack, Constructor, PartitionKey, PartitionMap, RuntimeStats};
 use sequin_types::codec::{fnv1a64, open_envelope, seal_envelope};
 use sequin_types::{
-    ArrivalSeq, CodecError, Decode, Encode, EventId, EventRef, Reader, StreamItem, Timestamp,
-    Writer,
+    ArrivalSeq, CodecError, Decode, Encode, EventRef, Reader, StreamItem, Timestamp, Writer,
 };
 
-use crate::config::{DisorderPolicy, EngineConfig};
-use crate::output::{OutputItem, OutputKind};
+use crate::config::EngineConfig;
+use crate::emit::Emitter;
+use crate::output::OutputItem;
 use crate::traits::Engine;
 use crate::watermark::WatermarkTracker;
 
-/// A constructed match waiting for its negation regions to seal
-/// (conservative emission).
-#[derive(Debug, Clone)]
-pub(crate) struct Pending {
-    pub(crate) deadline: Timestamp,
-    pub(crate) events: Vec<EventRef>,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.deadline.cmp(&other.deadline).then_with(|| {
-            let a = self.events.iter().map(|e| e.id());
-            let b = other.events.iter().map(|e| e.id());
-            a.cmp(b)
-        })
-    }
-}
-
-/// A match already emitted whose negation regions were not yet sealed
-/// (speculative emission): a late negative may still retract it.
-#[derive(Debug, Clone)]
-pub(crate) struct EmittedUnsealed {
-    pub(crate) deadline: Timestamp,
-    pub(crate) events: Vec<EventRef>,
-}
-
 /// Per-partition positive state: one [`AisStack`] per positive slot.
 #[derive(Debug, Clone)]
-struct Shard {
-    stacks: Vec<AisStack>,
+pub(crate) struct Shard {
+    pub(crate) stacks: Vec<AisStack>,
 }
 
 impl Shard {
@@ -75,13 +34,100 @@ impl Shard {
     }
 }
 
+/// A query's positive state: one shard, or one per partition key.
 #[derive(Debug)]
-enum ShardSet {
+pub(crate) enum ShardSet {
     Single(Shard),
     Partitioned {
         scheme: PartitionScheme,
         map: PartitionMap<Shard>,
     },
+}
+
+impl ShardSet {
+    /// Every shard, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Shard> {
+        let (single, map) = match self {
+            ShardSet::Single(shard) => (Some(shard), None),
+            ShardSet::Partitioned { map, .. } => (None, Some(map)),
+        };
+        single
+            .into_iter()
+            .chain(map.into_iter().flat_map(|m| m.iter().map(|(_, s)| s)))
+    }
+
+    /// Reads the positive-state section of a snapshot (see
+    /// [`NativeEngine::merged_snapshot`]) for `query` under `config`.
+    fn read(
+        query: &Query,
+        config: &EngineConfig,
+        r: &mut Reader<'_>,
+    ) -> Result<ShardSet, CodecError> {
+        let m = query.positive_len();
+        let decode_shard = |r: &mut Reader<'_>| -> Result<Shard, CodecError> {
+            let stacks = Vec::<AisStack>::decode(r)?;
+            if stacks.len() != m {
+                return Err(CodecError::SnapshotMismatch("positive slot count"));
+            }
+            Ok(Shard { stacks })
+        };
+        match r.get_u8()? {
+            0 => Ok(ShardSet::Single(decode_shard(r)?)),
+            1 => {
+                let scheme = match (config.partitioned, query.partition()) {
+                    (true, Some(scheme)) => scheme.clone(),
+                    _ => return Err(CodecError::SnapshotMismatch("partitioning scheme")),
+                };
+                let map = PartitionMap::restore(r, decode_shard)?;
+                Ok(ShardSet::Partitioned { scheme, map })
+            }
+            tag => Err(CodecError::InvalidTag {
+                what: "ShardSet",
+                tag,
+            }),
+        }
+    }
+}
+
+/// One query's snapshot blob — the format [`NativeEngine::snapshot`]
+/// writes and the shared evaluator writes per query — decoded and checked
+/// against the query and the configuration it is restored under.
+pub(crate) struct QueryBlob {
+    pub(crate) wm: WatermarkTracker,
+    pub(crate) seq: ArrivalSeq,
+    pub(crate) shards: ShardSet,
+    pub(crate) emit: Emitter,
+}
+
+impl QueryBlob {
+    /// Decodes `bytes` for `query`. The watermark tracker's slack
+    /// parameters and the emitter's policy come from `config`, not from
+    /// the snapshot: a policy change across a checkpoint takes effect on
+    /// restore.
+    pub(crate) fn read(
+        query: &Arc<Query>,
+        config: &EngineConfig,
+        bytes: &[u8],
+    ) -> Result<QueryBlob, CodecError> {
+        let mut r = Reader::new(open_envelope(bytes)?);
+        if r.get_u64()? != Emitter::fingerprint(query, config) {
+            return Err(CodecError::SnapshotMismatch(
+                "query/configuration fingerprint",
+            ));
+        }
+        let wm = WatermarkTracker::restore_from(config, &mut r)?;
+        let seq = ArrivalSeq::decode(&mut r)?;
+        let stats = RuntimeStats::decode(&mut r)?;
+        let shards = ShardSet::read(query, config, &mut r)?;
+        let emit = Emitter::read_tail(query, config.policy, stats, &mut r)?;
+        r.finish()?;
+        Ok(QueryBlob {
+            wm,
+            seq,
+            shards,
+            emit,
+        })
+    }
 }
 
 /// Which slice of the partition-key space this engine owns when it runs
@@ -208,12 +254,13 @@ impl PhasedOutput {
 ///
 /// * Negation-free matches are emitted the instant their last-arriving
 ///   constituent is ingested (zero arrival latency, exactly once) — except
-///   under [`DisorderPolicy::Lazy`], which defers every emission to the
-///   seal drain.
-/// * Negation is handled per [`DisorderPolicy`]: conservatively (held
-///   until the negation regions seal, then re-validated), speculatively
-///   (emitted immediately, retracted if a late negative lands), lazily,
-///   or conservatively under an adaptive slack bound.
+///   under [`DisorderPolicy::Lazy`](crate::DisorderPolicy::Lazy), which
+///   defers every emission to the seal drain.
+/// * Negation is handled per [`DisorderPolicy`](crate::DisorderPolicy):
+///   conservatively (held until the negation regions seal, then
+///   re-validated), speculatively (emitted immediately, retracted if a
+///   late negative lands), lazily, or conservatively under an adaptive
+///   slack bound.
 /// * State is purged against the watermark (`clock − K`, punctuation, or
 ///   both) using the thresholds derived in [`sequin_runtime::purge`].
 /// * With [`EngineConfig::partitioned`] and a query-level equality chain,
@@ -221,22 +268,18 @@ impl PhasedOutput {
 ///   global (negatives filter by predicate at check time).
 #[derive(Debug)]
 pub struct NativeEngine {
-    query: Arc<Query>,
     config: EngineConfig,
     ctor: Constructor,
     shards: ShardSet,
-    negatives: NegationIndex,
-    pending: BinaryHeap<Reverse<Pending>>,
-    emitted_unsealed: Vec<EmittedUnsealed>,
+    emit: Emitter,
     wm: WatermarkTracker,
     next_seq: ArrivalSeq,
-    stats: RuntimeStats,
     scratch: Vec<Vec<EventRef>>,
     slice: Option<ShardSlice>,
-    /// Sabotage bookkeeping for [`EngineConfig::retraction_drop`]: how
-    /// many retractions this instance has already swallowed. Not part of
-    /// snapshots — the knob only exists for the differential simulator.
-    retractions_dropped: u64,
+    /// What is left of the [`EngineConfig::retraction_drop`] sabotage
+    /// budget on this instance. Not part of snapshots — the knob only
+    /// exists for the differential simulator.
+    retractions_to_drop: u64,
 }
 
 impl NativeEngine {
@@ -252,18 +295,14 @@ impl NativeEngine {
         };
         NativeEngine {
             ctor: Constructor::new(Arc::clone(&query), config.construct),
-            negatives: NegationIndex::new(Arc::clone(&query)),
+            emit: Emitter::new(query, config.policy),
             shards,
             wm: WatermarkTracker::new(&config),
-            query,
             config,
-            pending: BinaryHeap::new(),
-            emitted_unsealed: Vec::new(),
             next_seq: ArrivalSeq::default(),
-            stats: RuntimeStats::default(),
             scratch: Vec::new(),
             slice: None,
-            retractions_dropped: 0,
+            retractions_to_drop: config.retraction_drop,
         }
     }
 
@@ -312,39 +351,11 @@ impl NativeEngine {
     /// purge-invariant property tests; not part of the stable API.
     #[doc(hidden)]
     pub fn oldest_stack_ts(&self) -> Option<Timestamp> {
-        let mut oldest: Option<Timestamp> = None;
-        let mut visit = |shard: &Shard| {
-            for stack in &shard.stacks {
-                if let Some(e) = stack.events().first() {
-                    let ts = e.ts();
-                    oldest = Some(oldest.map_or(ts, |o| o.min(ts)));
-                }
-            }
-        };
-        match &self.shards {
-            ShardSet::Single(shard) => visit(shard),
-            ShardSet::Partitioned { map, .. } => {
-                for (_, shard) in map.iter() {
-                    visit(shard);
-                }
-            }
-        }
-        oldest
-    }
-
-    fn make_output(
-        &self,
-        events: Vec<EventRef>,
-        kind: OutputKind,
-        cause: Option<EventId>,
-    ) -> OutputItem {
-        OutputItem {
-            kind,
-            m: Match::new(&self.query, events),
-            emit_seq: self.next_seq,
-            emit_clock: self.wm.clock(),
-            cause,
-        }
+        self.shards
+            .iter()
+            .flat_map(|shard| &shard.stacks)
+            .filter_map(|stack| stack.events().first().map(|e| e.ts()))
+            .min()
     }
 
     /// True when this worker owns the arriving event for `slot` — i.e.
@@ -377,7 +388,7 @@ impl NativeEngine {
             // Every worker of a sharded pool sees this in lockstep, so
             // only the primary attributes it.
             if self.primary() {
-                self.stats.late_drops += 1;
+                self.emit.stats.late_drops += 1;
             }
         }
 
@@ -386,28 +397,25 @@ impl NativeEngine {
         // keeps the full negative index (negatives filter at check time);
         // only the primary attributes the duplicated indexing cost.
         let is_negated_type = self
-            .query
+            .ctor
+            .query()
             .negations()
             .iter()
             .any(|n| n.matches_type(event.event_type()));
         if is_negated_type {
-            if self.primary() {
-                self.negatives.offer(event, &mut self.stats);
-            } else {
-                let mut lockstep = RuntimeStats::default();
-                self.negatives.offer(event, &mut lockstep);
-            }
-            // Speculative emission leaves unsealed matches standing that a
-            // late negative must retract. Other policies may still carry
-            // unsealed records inherited through a policy-changing restore,
-            // which they retract the same way rather than double-count.
-            if self.config.policy.speculates() || !self.emitted_unsealed.is_empty() {
-                self.retract_invalidated(event, out);
-            }
+            let counted = self.primary();
+            self.emit.offer_negative(
+                event,
+                counted,
+                self.next_seq,
+                &self.wm,
+                &mut self.retractions_to_drop,
+                out,
+            );
         }
 
         // positive slots: route, pre-filter, insert, compensate-construct
-        let slots = self.query.slots_for_type(event.event_type());
+        let slots = self.ctor.query().slots_for_type(event.event_type());
         let mut routed = false;
         for slot in slots {
             if !self.owns_slot(slot, event) {
@@ -419,42 +427,31 @@ impl NativeEngine {
             }
             let mut raw = std::mem::take(&mut self.scratch);
             raw.clear();
-            match &mut self.shards {
-                ShardSet::Single(shard) => {
-                    Self::insert_and_construct(
-                        &self.ctor,
-                        shard,
-                        slot,
-                        event,
-                        &mut self.stats,
-                        &mut raw,
-                    );
-                }
-                ShardSet::Partitioned { scheme, map } => {
-                    let m = self.query.positive_len();
-                    if let Some(key) = event
-                        .field(scheme.fields[slot])
-                        .and_then(PartitionKey::from_value)
-                    {
-                        let shard = map.shard_mut(key, || Shard::new(m));
-                        Self::insert_and_construct(
-                            &self.ctor,
-                            shard,
-                            slot,
-                            event,
-                            &mut self.stats,
-                            &mut raw,
-                        );
-                    }
-                }
+            let shard = match &mut self.shards {
+                ShardSet::Single(shard) => Some(shard),
+                ShardSet::Partitioned { scheme, map } => event
+                    .field(scheme.fields[slot])
+                    .and_then(PartitionKey::from_value)
+                    .map(|key| map.shard_mut(key, || Shard::new(self.ctor.query().positive_len()))),
+            };
+            if let Some(shard) = shard {
+                Self::insert_and_construct(
+                    &self.ctor,
+                    shard,
+                    slot,
+                    event,
+                    &mut self.emit.stats,
+                    &mut raw,
+                );
             }
             for events in raw.drain(..) {
-                self.route_match(slot, events, event.id(), out);
+                self.emit
+                    .route_match(slot, events, event.id(), self.next_seq, &self.wm, out);
             }
             self.scratch = raw;
         }
         if routed {
-            self.stats.events_routed += 1;
+            self.emit.stats.events_routed += 1;
         }
     }
 
@@ -479,10 +476,11 @@ impl NativeEngine {
     }
 
     fn passes_local(&mut self, slot: usize, event: &EventRef) -> bool {
-        let mut binding: Vec<Option<&EventRef>> = vec![None; self.query.components().len()];
-        binding[self.query.positive_comp(slot)] = Some(event);
-        for pred in self.query.local_predicates(slot) {
-            self.stats.predicate_evals += 1;
+        let query = self.ctor.query();
+        let mut binding: Vec<Option<&EventRef>> = vec![None; query.components().len()];
+        binding[query.positive_comp(slot)] = Some(event);
+        for pred in query.local_predicates(slot) {
+            self.emit.stats.predicate_evals += 1;
             if pred.eval(&binding) != Some(true) {
                 return false;
             }
@@ -490,266 +488,14 @@ impl NativeEngine {
         true
     }
 
-    /// Decides what to do with a freshly constructed match (`slot` is the
-    /// arriving event's positive slot, the construction-phase merge key;
-    /// `trigger` is the arriving event whose ingestion constructed the
-    /// match — the causal link recorded on immediate emissions).
-    fn route_match(
-        &mut self,
-        slot: usize,
-        events: Vec<EventRef>,
-        trigger: EventId,
-        out: &mut PhasedOutput,
-    ) {
-        let policy = self.config.policy;
-        if !self.query.has_negation() {
-            if policy == DisorderPolicy::Lazy {
-                // Defer to the seal drain: the deadline is the match's own
-                // maximum timestamp, so it emits once the watermark passes
-                // the match (or a drain/finish seals the stream).
-                let deadline = events.last().expect("match has events").ts();
-                self.pending.push(Reverse(Pending { deadline, events }));
-            } else {
-                let o = self.make_output(events, OutputKind::Insert, Some(trigger));
-                out.constructed.push((slot, o));
-            }
-            return;
-        }
-        let deadline = seal_deadline(&self.query, &events).expect("query has negation");
-        let watermark = self.watermark();
-        match policy {
-            DisorderPolicy::Lazy => {
-                // Even already-sealed matches go through the pending heap,
-                // so every lazy emission leaves via the seal drain.
-                self.pending.push(Reverse(Pending { deadline, events }));
-            }
-            DisorderPolicy::Conservative | DisorderPolicy::AdaptiveSlack { .. } => {
-                if deadline <= watermark {
-                    if !self.negatives.violates(&events, &mut self.stats) {
-                        let o = self.make_output(events, OutputKind::Insert, Some(trigger));
-                        out.constructed.push((slot, o));
-                    }
-                } else {
-                    self.pending.push(Reverse(Pending { deadline, events }));
-                }
-            }
-            DisorderPolicy::Speculative => {
-                if self.negatives.violates(&events, &mut self.stats) {
-                    return;
-                }
-                if deadline > watermark {
-                    self.emitted_unsealed.push(EmittedUnsealed {
-                        deadline,
-                        events: events.clone(),
-                    });
-                }
-                let o = self.make_output(events, OutputKind::Insert, Some(trigger));
-                out.constructed.push((slot, o));
-            }
-        }
-    }
-
-    /// Speculative mode: a just-arrived negative retracts any emitted,
-    /// still-unsealed match it invalidates.
-    fn retract_invalidated(&mut self, negative: &EventRef, out: &mut PhasedOutput) {
-        let query = Arc::clone(&self.query);
-        let mut retracted: Vec<(Timestamp, Vec<EventRef>)> = Vec::new();
-        self.emitted_unsealed.retain(|rec| {
-            let rs = regions(&query, &rec.events);
-            for (ix, neg) in query.negations().iter().enumerate() {
-                if !neg.matches_type(negative.event_type()) {
-                    continue;
-                }
-                let region = rs[ix];
-                if region.is_empty() || negative.ts() < region.start || negative.ts() >= region.end
-                {
-                    continue;
-                }
-                let mut binding = query.binding_from_positives(&rec.events);
-                binding[neg.comp] = Some(negative);
-                if neg
-                    .predicates
-                    .iter()
-                    .all(|p| p.eval(&binding) == Some(true))
-                {
-                    retracted.push((rec.deadline, rec.events.clone()));
-                    return false;
-                }
-            }
-            true
-        });
-        for (deadline, events) in retracted {
-            self.stats.negated_matches += 1;
-            // sabotage knob: swallow the retraction (the unsealed record is
-            // already gone) so the settled output keeps a match the oracle
-            // rejects — the differential harness must flag this
-            if self.retractions_dropped < self.config.retraction_drop {
-                self.retractions_dropped += 1;
-                continue;
-            }
-            let o = self.make_output(events, OutputKind::Retract, Some(negative.id()));
-            out.retracts.push((deadline, o));
-        }
-    }
-
-    /// Emits pending matches whose regions sealed, and forgets sealed
-    /// speculative records.
-    fn drain_sealed(&mut self, out: &mut PhasedOutput) {
-        let watermark = self.watermark();
-        while let Some(Reverse(top)) = self.pending.peek() {
-            if top.deadline > watermark {
-                break;
-            }
-            let Reverse(p) = self.pending.pop().expect("peeked");
-            if !self.negatives.violates(&p.events, &mut self.stats) {
-                let o = self.make_output(p.events, OutputKind::Insert, None);
-                out.sealed.push((p.deadline, o));
-            }
-        }
-        self.emitted_unsealed.retain(|rec| rec.deadline > watermark);
-    }
-
-    /// A fingerprint of the query and the semantics-relevant configuration,
-    /// embedded in snapshots so state is never restored into an engine
-    /// evaluating a different query (or the same query under incompatible
-    /// settings). The disorder policy is deliberately *not* part of it:
-    /// snapshots are policy-portable, so a subscription can change policy
-    /// across a checkpoint resume (the carried pending/unsealed records
-    /// drain correctly under any policy).
-    fn fingerprint(&self) -> u64 {
-        let desc = format!(
-            "{}|{:?}|{}",
-            self.query, self.config.watermark, self.config.partitioned
-        );
-        fnv1a64(desc.as_bytes())
-    }
-
-    pub(crate) fn sort_match_records(records: &mut [(Timestamp, &Vec<EventRef>)]) {
-        records.sort_by(|a, b| {
-            a.0.cmp(&b.0).then_with(|| {
-                let ka = a.1.iter().map(|e| e.id());
-                let kb = b.1.iter().map(|e| e.id());
-                ka.cmp(kb)
-            })
-        });
-    }
-
-    pub(crate) fn encode_match_records(records: &[(Timestamp, &Vec<EventRef>)], w: &mut Writer) {
-        w.put_u64(records.len() as u64);
-        for (deadline, events) in records {
-            deadline.encode(w);
-            (*events).encode(w);
-        }
-    }
-
-    pub(crate) fn decode_match_records(
-        r: &mut Reader<'_>,
-    ) -> Result<Vec<(Timestamp, Vec<EventRef>)>, CodecError> {
-        let n = r.get_u64()?;
-        if n > r.remaining() as u64 {
-            return Err(CodecError::BadLength);
-        }
-        let mut records = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let deadline = Timestamp::decode(r)?;
-            let events = Vec::<EventRef>::decode(r)?;
-            records.push((deadline, events));
-        }
-        Ok(records)
-    }
-
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u64(self.fingerprint());
-        self.wm.snapshot_into(&mut w);
-        self.next_seq.encode(&mut w);
-        self.stats.encode(&mut w);
-        match &self.shards {
-            ShardSet::Single(shard) => {
-                w.put_u8(0);
-                shard.stacks.encode(&mut w);
-            }
-            ShardSet::Partitioned { map, .. } => {
-                w.put_u8(1);
-                map.snapshot_into(&mut w, |shard, w| shard.stacks.encode(w));
-            }
-        }
-        self.negatives.snapshot_into(&mut w);
-        // heaps iterate in arbitrary order (and the unsealed log in
-        // arrival order); sort both so identical state always produces
-        // identical bytes regardless of history or worker count
-        let mut pend: Vec<(Timestamp, &Vec<EventRef>)> = self
-            .pending
-            .iter()
-            .map(|Reverse(p)| (p.deadline, &p.events))
-            .collect();
-        Self::sort_match_records(&mut pend);
-        Self::encode_match_records(&pend, &mut w);
-        let mut emitted: Vec<(Timestamp, &Vec<EventRef>)> = self
-            .emitted_unsealed
-            .iter()
-            .map(|rec| (rec.deadline, &rec.events))
-            .collect();
-        Self::sort_match_records(&mut emitted);
-        Self::encode_match_records(&emitted, &mut w);
-        seal_envelope(&w.into_bytes())
-    }
-
     fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let payload = open_envelope(bytes)?;
-        let mut r = Reader::new(payload);
-        if r.get_u64()? != self.fingerprint() {
-            return Err(CodecError::SnapshotMismatch(
-                "query/configuration fingerprint",
-            ));
-        }
-        let wm = WatermarkTracker::restore_from(&self.config, &mut r)?;
-        let next_seq = ArrivalSeq::decode(&mut r)?;
-        let stats = RuntimeStats::decode(&mut r)?;
-        let m = self.query.positive_len();
-        let decode_shard = |r: &mut Reader<'_>| -> Result<Shard, CodecError> {
-            let stacks = Vec::<AisStack>::decode(r)?;
-            if stacks.len() != m {
-                return Err(CodecError::SnapshotMismatch("positive slot count"));
-            }
-            Ok(Shard { stacks })
-        };
-        let shards = match r.get_u8()? {
-            0 => ShardSet::Single(decode_shard(&mut r)?),
-            1 => {
-                let scheme = match (self.config.partitioned, self.query.partition()) {
-                    (true, Some(scheme)) => scheme.clone(),
-                    _ => return Err(CodecError::SnapshotMismatch("partitioning scheme")),
-                };
-                let map = PartitionMap::restore(&mut r, decode_shard)?;
-                ShardSet::Partitioned { scheme, map }
-            }
-            tag => {
-                return Err(CodecError::InvalidTag {
-                    what: "ShardSet",
-                    tag,
-                })
-            }
-        };
-        let negatives = NegationIndex::restore(Arc::clone(&self.query), &mut r)?;
-        let pending: BinaryHeap<Reverse<Pending>> = Self::decode_match_records(&mut r)?
-            .into_iter()
-            .map(|(deadline, events)| Reverse(Pending { deadline, events }))
-            .collect();
-        let emitted_unsealed: Vec<EmittedUnsealed> = Self::decode_match_records(&mut r)?
-            .into_iter()
-            .map(|(deadline, events)| EmittedUnsealed { deadline, events })
-            .collect();
-        r.finish()?;
-        // everything decoded cleanly: commit (all-or-nothing — a failure
-        // above leaves the current state untouched)
-        self.wm = wm;
-        self.next_seq = next_seq;
-        self.stats = stats;
-        self.shards = shards;
-        self.negatives = negatives;
-        self.pending = pending;
-        self.emitted_unsealed = emitted_unsealed;
+        // all-or-nothing: a decode failure leaves the current state
+        // untouched
+        let blob = QueryBlob::read(self.ctor.query(), &self.config, bytes)?;
+        self.wm = blob.wm;
+        self.next_seq = blob.seq;
+        self.shards = blob.shards;
+        self.emit = blob.emit;
         Ok(())
     }
 
@@ -758,11 +504,12 @@ impl NativeEngine {
         // pass itself and the (replicated) negative-index purge are
         // attributed by the primary only, while per-stack purges are
         // disjoint and counted locally
-        if self.primary() {
-            self.stats.purge_runs += 1;
+        let primary = self.primary();
+        if primary {
+            self.emit.stats.purge_runs += 1;
         }
         let watermark = self.watermark();
-        let window = self.query.window();
+        let window = self.ctor.query().window();
         // purge_horizon_skew is the simulator's sabotage knob: widening the
         // thresholds deletes state that is still needed, which the
         // differential harness must detect. Zero in any real configuration.
@@ -786,13 +533,16 @@ impl NativeEngine {
                 map.retain_live(|shard| shard.len() == 0);
             }
         }
-        self.stats.purged += purged;
+        self.emit.stats.purged += purged;
         let threshold = purge::negative_threshold(watermark, window).saturating_add(skew);
-        if self.primary() {
-            self.negatives.purge_before(threshold, &mut self.stats);
-        } else {
-            let mut lockstep = RuntimeStats::default();
-            self.negatives.purge_before(threshold, &mut lockstep);
+        self.emit.purge_negatives(threshold, primary);
+    }
+
+    /// Drains the seal and runs a due purge: the tail of every arrival.
+    fn settle(&mut self, out: &mut PhasedOutput) {
+        self.emit.drain_sealed(self.next_seq, &self.wm, out);
+        if self.config.purge.due(self.next_seq.get()) {
+            self.run_purge();
         }
     }
 
@@ -810,10 +560,7 @@ impl NativeEngine {
                 self.wm.observe_punctuation(*t);
             }
         }
-        self.drain_sealed(&mut out);
-        if self.config.purge.due(self.next_seq.get()) {
-            self.run_purge();
-        }
+        self.settle(&mut out);
         out
     }
 
@@ -835,17 +582,14 @@ impl NativeEngine {
             RoutedMsg::Advance { seq, ts } => {
                 self.next_seq = *seq;
                 if self.wm.observe_event(*ts) && self.primary() {
-                    self.stats.late_drops += 1;
+                    self.emit.stats.late_drops += 1;
                 }
             }
             RoutedMsg::Punctuation(t) => {
                 self.wm.observe_punctuation(*t);
             }
         }
-        self.drain_sealed(&mut out);
-        if self.config.purge.due(self.next_seq.get()) {
-            self.run_purge();
-        }
+        self.settle(&mut out);
         out
     }
 
@@ -860,50 +604,48 @@ impl NativeEngine {
     /// stable API.
     #[doc(hidden)]
     pub fn negative_index_len(&self) -> usize {
-        self.negatives.len()
+        self.emit.negatives.len()
     }
 
     /// End-of-stream flush in merge-ready form.
     pub(crate) fn finish_phased(&mut self) -> PhasedOutput {
         let mut out = PhasedOutput::default();
         self.wm.seal();
-        self.drain_sealed(&mut out);
+        self.emit.drain_sealed(self.next_seq, &self.wm, &mut out);
         out
     }
 
     /// State size excluding the negative index, which sharded pools
     /// replicate on every worker and must count once.
     pub(crate) fn owned_state_size(&self) -> usize {
-        self.state_size() - self.negatives.len()
+        self.state_size() - self.emit.negatives.len()
     }
 
     /// Zeroes the counters (a restored non-primary worker starts from a
     /// clean slate so pool-wide aggregation does not double-count the
     /// snapshot's history).
     pub(crate) fn reset_stats(&mut self) {
-        self.stats.reset();
+        self.emit.stats.reset();
     }
 
-    /// Serializes the union of a sharded pool's workers as one canonical
-    /// snapshot in the exact format [`NativeEngine::snapshot`] writes:
-    /// restoring it into a single engine — or a pool with a *different*
-    /// worker count — reproduces the same evaluation state. Lockstep
-    /// state (watermark, arrival sequence, negative index) comes from the
-    /// primary worker; partition maps are disjoint by construction and
-    /// written as one sorted map; pending/unsealed matches are the sorted
-    /// union.
+    /// Serializes the union of a sharded pool's workers — `parts[0]` is
+    /// the primary — as one canonical snapshot; a single engine's
+    /// [`NativeEngine::snapshot`] is the one-part case. Restoring it into
+    /// a single engine — or a pool with a *different* worker count —
+    /// reproduces the same evaluation state. Lockstep state (watermark,
+    /// arrival sequence, negative index) comes from the primary worker;
+    /// partition maps are disjoint by construction and written as one
+    /// key-sorted map; pending/unsealed matches are the sorted union.
     pub(crate) fn merged_snapshot(parts: &[&NativeEngine]) -> Vec<u8> {
-        let primary = parts
-            .iter()
-            .find(|p| p.primary())
-            .expect("pool has a primary worker");
+        let primary = parts[0];
+        assert!(primary.primary(), "parts[0] is the primary worker");
         let mut w = Writer::new();
-        w.put_u64(primary.fingerprint());
+        w.put_u64(Emitter::fingerprint(primary.ctor.query(), &primary.config));
         primary.wm.snapshot_into(&mut w);
         primary.next_seq.encode(&mut w);
         let mut stats = RuntimeStats::default();
         for p in parts {
-            stats += p.stats;
+            stats += p.emit.stats;
         }
         stats.encode(&mut w);
         match &primary.shards {
@@ -928,23 +670,8 @@ impl NativeEngine {
                 }
             }
         }
-        primary.negatives.snapshot_into(&mut w);
-        let mut pend: Vec<(Timestamp, &Vec<EventRef>)> = parts
-            .iter()
-            .flat_map(|p| p.pending.iter().map(|Reverse(x)| (x.deadline, &x.events)))
-            .collect();
-        Self::sort_match_records(&mut pend);
-        Self::encode_match_records(&pend, &mut w);
-        let mut emitted: Vec<(Timestamp, &Vec<EventRef>)> = parts
-            .iter()
-            .flat_map(|p| {
-                p.emitted_unsealed
-                    .iter()
-                    .map(|rec| (rec.deadline, &rec.events))
-            })
-            .collect();
-        Self::sort_match_records(&mut emitted);
-        Self::encode_match_records(&emitted, &mut w);
+        let emitters: Vec<&Emitter> = parts.iter().map(|p| &p.emit).collect();
+        Emitter::write_tail(&emitters, &mut w);
         seal_envelope(&w.into_bytes())
     }
 
@@ -958,25 +685,19 @@ impl NativeEngine {
             ShardSet::Single(shard) => {
                 if !slice.primary() {
                     *shard = Shard::new(shard.stacks.len());
-                    self.pending.clear();
-                    self.emitted_unsealed.clear();
+                    self.emit.retain_matches(|_| false);
                 }
             }
             ShardSet::Partitioned { scheme, map } => {
                 map.retain_keys(|k| slice.owns(k));
                 let field = scheme.fields[0];
-                let owns_match = |events: &Vec<EventRef>| {
+                self.emit.retain_matches(|events| {
                     events
                         .first()
                         .and_then(|e| e.field(field))
                         .and_then(PartitionKey::from_value)
                         .map_or(slice.primary(), |k| slice.owns(&k))
-                };
-                self.pending = std::mem::take(&mut self.pending)
-                    .into_iter()
-                    .filter(|Reverse(p)| owns_match(&p.events))
-                    .collect();
-                self.emitted_unsealed.retain(|rec| owns_match(&rec.events));
+                });
             }
         }
     }
@@ -999,19 +720,16 @@ impl Engine for NativeEngine {
     }
 
     fn stats(&self) -> RuntimeStats {
-        self.stats
+        self.emit.stats
     }
 
     fn state_size(&self) -> usize {
-        let stacks = match &self.shards {
-            ShardSet::Single(shard) => shard.len(),
-            ShardSet::Partitioned { map, .. } => map.iter().map(|(_, s)| s.len()).sum(),
-        };
-        stacks + self.negatives.len() + self.pending.len() + self.emitted_unsealed.len()
+        let stacks: usize = self.shards.iter().map(Shard::len).sum();
+        stacks + self.emit.len()
     }
 
     fn query(&self) -> &Arc<Query> {
-        &self.query
+        self.ctor.query()
     }
 
     fn watermark(&self) -> Option<Timestamp> {
@@ -1027,7 +745,7 @@ impl Engine for NativeEngine {
     }
 
     fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        Ok(self.snapshot_bytes())
+        Ok(Self::merged_snapshot(&[self]))
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
@@ -1038,7 +756,8 @@ impl Engine for NativeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WatermarkSource;
+    use crate::config::{DisorderPolicy, WatermarkSource};
+    use crate::output::OutputKind;
     use crate::traits::run_to_end;
     use sequin_query::parse;
     use sequin_runtime::purge::PurgePolicy;

@@ -8,6 +8,22 @@
 //! event-type routing index (an arrival touches only the plan nodes of
 //! interested queries).
 //!
+//! ## One evaluation body
+//!
+//! The evaluator shares its per-query body with [`crate::NativeEngine`]
+//! rather than replicating it. Construction is the runtime's single walk
+//! ([`sequin_runtime::walk`]): a query's own anchors run
+//! [`Constructor::matches_over`] on its pooled stacks, filtered to the
+//! anchor's partition key when the query shards (a key-filtered pooled
+//! stack yields the same candidates, in the same order, as the key's
+//! dedicated shard stack); a prefix group runs the same walk through a
+//! site that checks the group's common predicates once and forks each
+//! complete prefix to every member's final slot. Negation, the seal,
+//! speculative retraction and lazy deferral are the native engine's
+//! per-query emitter, stamped with the epoch's arrival sequence and
+//! clock. The naive oracle of the differential simulator is independent
+//! of both and judges them.
+//!
 //! ## Equivalence contract
 //!
 //! Per query, the output sequence is **byte-identical** to an independent
@@ -18,7 +34,8 @@
 //! over referencing queries) retains a superset of each query's state, so
 //! it can only *recover* strictly more of those out-of-contract matches.
 //! Per-query [`RuntimeStats`] are faithful for the routing, insertion,
-//! emission, and lateness counters; pure cost counters (`purged`,
+//! emission, and lateness counters, and — with the window cut-off on —
+//! for `dfs_steps` and `predicate_evals`; pure cost counters (`purged`,
 //! `max_stack_depth`, and on partitioned queries `ooo_insertions`)
 //! describe the shared physical layout — the pooled purge threshold
 //! retains more state than any single query needs, and a pooled stack
@@ -40,25 +57,22 @@
 //! sketch and must never be shared with a fixed-bound query (the pooling
 //! compatibility rule).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use sequin_plan::{compile, BindEntry, PrefixGroup, QuerySpec, SharedPlan, SlotSig};
 use sequin_query::Query;
-use sequin_runtime::{
-    purge, regions, seal_deadline, AisStack, Match, NegationIndex, PartitionKey, RuntimeStats,
-};
-use sequin_types::codec::{fnv1a64, open_envelope, seal_envelope};
+use sequin_runtime::{purge, walk, AisStack, Constructor, PartitionKey, RuntimeStats, WalkSite};
+use sequin_types::codec::{open_envelope, seal_envelope};
 use sequin_types::{
-    ArrivalSeq, CodecError, Decode, Duration, Encode, EventId, EventRef, Reader, StreamItem,
-    Timestamp, Writer,
+    ArrivalSeq, CodecError, Duration, Encode, EventRef, Reader, StreamItem, Timestamp, Writer,
 };
 
 use crate::config::{DisorderPolicy, EngineConfig};
+use crate::emit::Emitter;
 use crate::multi::QueryId;
-use crate::native::{EmittedUnsealed, NativeEngine, Pending, PhasedOutput};
-use crate::output::{OutputItem, OutputKind};
+use crate::native::{PhasedOutput, QueryBlob};
+use crate::output::OutputItem;
 use crate::watermark::WatermarkTracker;
 
 /// Plan-level evaluation metrics exposed for observability: structural
@@ -138,37 +152,16 @@ impl EpochState {
 
 /// Per-query evaluation state not shareable across queries.
 struct QueryState {
-    query: Arc<Query>,
+    ctor: Constructor,
+    /// Negatives, seal, retraction and the query's counters; the policy
+    /// here governs emission timing (the watermark side lives in the
+    /// epoch's class).
+    emit: Emitter,
     epoch: usize,
-    /// This query's disorder-handling policy (emission timing; the
-    /// watermark side lives in the epoch's class).
-    policy: DisorderPolicy,
-    negatives: NegationIndex,
-    pending: BinaryHeap<Reverse<Pending>>,
-    emitted_unsealed: Vec<EmittedUnsealed>,
-    stats: RuntimeStats,
     phased: PhasedOutput,
     /// Scratch flag: this arrival routed to at least one of the query's
     /// stacks (cleared at the end of every arrival).
     routed: bool,
-    active: bool,
-}
-
-impl QueryState {
-    fn new(query: Arc<Query>, epoch: usize, policy: DisorderPolicy) -> QueryState {
-        QueryState {
-            negatives: NegationIndex::new(Arc::clone(&query)),
-            query,
-            epoch,
-            policy,
-            pending: BinaryHeap::new(),
-            emitted_unsealed: Vec::new(),
-            stats: RuntimeStats::default(),
-            phased: PhasedOutput::default(),
-            routed: false,
-            active: true,
-        }
-    }
 }
 
 /// Multi-query evaluation over one shared plan (see module docs).
@@ -192,9 +185,9 @@ pub struct SharedMultiEngine {
     /// class (cleared once an item has been ingested since the last
     /// registration).
     open_epochs: Vec<(WmClass, usize)>,
-    /// Sabotage bookkeeping for [`EngineConfig::retraction_drop`]. Not
-    /// part of snapshots.
-    retractions_dropped: u64,
+    /// What is left of the [`EngineConfig::retraction_drop`] sabotage
+    /// budget on this evaluator. Not part of snapshots.
+    retractions_to_drop: u64,
     counters: PlanMetrics,
     scratch_marked: Vec<usize>,
 }
@@ -209,13 +202,6 @@ impl std::fmt::Debug for SharedMultiEngine {
     }
 }
 
-/// The native engine's snapshot fingerprint for `query` under `config`
-/// (shared-plan blobs must interchange with [`NativeEngine`] blobs).
-fn engine_fingerprint(query: &Query, config: &EngineConfig) -> u64 {
-    let desc = format!("{}|{:?}|{}", query, config.watermark, config.partitioned);
-    fnv1a64(desc.as_bytes())
-}
-
 impl SharedMultiEngine {
     /// Creates an empty shared evaluator; every registered query runs
     /// under `config`.
@@ -228,7 +214,7 @@ impl SharedMultiEngine {
             states: Vec::new(),
             epochs: Vec::new(),
             open_epochs: Vec::new(),
-            retractions_dropped: 0,
+            retractions_to_drop: config.retraction_drop,
             counters: PlanMetrics::default(),
             scratch_marked: Vec::new(),
         }
@@ -239,8 +225,7 @@ impl SharedMultiEngine {
         &self.config
     }
 
-    /// Number of registered queries (including unregistered slots, which
-    /// keep their dense ids).
+    /// Number of registered queries.
     pub fn len(&self) -> usize {
         self.specs.len()
     }
@@ -252,7 +237,7 @@ impl SharedMultiEngine {
 
     /// The query registered under `id`.
     pub fn query(&self, id: QueryId) -> &Arc<Query> {
-        &self.states[id.index()].query
+        self.states[id.index()].ctor.query()
     }
 
     /// Registers a query under the shared configuration's policy;
@@ -282,16 +267,21 @@ impl SharedMultiEngine {
         self.specs.push(QuerySpec {
             query: Arc::clone(&query),
             epoch,
-            active: true,
         });
-        self.states.push(QueryState::new(query, epoch, policy));
+        self.states.push(QueryState {
+            ctor: Constructor::new(Arc::clone(&query), self.config.construct),
+            emit: Emitter::new(query, policy),
+            epoch,
+            phased: PhasedOutput::default(),
+            routed: false,
+        });
         self.recompile();
         QueryId::new(self.specs.len() - 1)
     }
 
     /// The policy a query was registered under.
     pub fn query_policy(&self, id: QueryId) -> DisorderPolicy {
-        self.states[id.index()].policy
+        self.states[id.index()].emit.policy
     }
 
     /// One query's current disorder-bound estimate (`K`, or the adaptive
@@ -300,24 +290,9 @@ impl SharedMultiEngine {
         self.epochs[self.states[id.index()].epoch].wm.k_hat()
     }
 
-    /// Unregisters a query. The dense id stays allocated (output tags and
-    /// snapshot layout remain aligned) but the query owns no plan nodes
-    /// and produces no further output.
-    pub fn unregister(&mut self, id: QueryId) {
-        let qix = id.index();
-        self.specs[qix].active = false;
-        let st = &mut self.states[qix];
-        st.active = false;
-        st.negatives = NegationIndex::new(Arc::clone(&st.query));
-        st.pending.clear();
-        st.emitted_unsealed.clear();
-        st.phased = PhasedOutput::default();
-        self.recompile();
-    }
-
     /// Recompiles the plan from `specs` and reconciles physical stacks by
     /// slot-signature equality (contents survive; new signatures start
-    /// empty; orphaned signatures are dropped).
+    /// empty).
     fn recompile(&mut self) {
         let plan = compile(&self.specs, self.config.partitioned);
         let old_plan = std::mem::take(&mut self.plan);
@@ -344,9 +319,7 @@ impl SharedMultiEngine {
             ep.queries.clear();
         }
         for (qix, spec) in self.specs.iter().enumerate() {
-            if spec.active {
-                self.epochs[spec.epoch].queries.push(qix);
-            }
+            self.epochs[spec.epoch].queries.push(qix);
         }
     }
 
@@ -369,17 +342,13 @@ impl SharedMultiEngine {
         for ep in &mut self.epochs {
             ep.wm.seal();
         }
-        for qix in 0..self.states.len() {
-            if self.states[qix].active {
-                self.drain_sealed(qix);
-            }
-        }
+        self.drain_sealed();
         self.collect_outputs()
     }
 
     /// Per-query operator statistics, in registration order.
     pub fn stats(&self) -> Vec<RuntimeStats> {
-        self.states.iter().map(|s| s.stats).collect()
+        self.states.iter().map(|s| s.emit.stats).collect()
     }
 
     /// Plan metrics (see [`PlanMetrics`]).
@@ -399,11 +368,7 @@ impl SharedMultiEngine {
     /// unsealed state.
     pub fn state_size(&self) -> usize {
         let stacks: usize = self.stacks.iter().map(AisStack::len).sum();
-        let per_query: usize = self
-            .states
-            .iter()
-            .map(|s| s.negatives.len() + s.pending.len() + s.emitted_unsealed.len())
-            .sum();
+        let per_query: usize = self.states.iter().map(|s| s.emit.len()).sum();
         stacks + per_query
     }
 
@@ -411,21 +376,19 @@ impl SharedMultiEngine {
     /// report (its slots' stack entries plus its private state).
     pub fn query_state_size(&self, id: QueryId) -> usize {
         let qix = id.index();
-        let st = &self.states[qix];
         let stacks: usize = self.plan.queries[qix]
             .stack_of_slot
             .iter()
             .map(|&six| self.stacks[six].len())
             .sum();
-        stacks + st.negatives.len() + st.pending.len() + st.emitted_unsealed.len()
+        stacks + self.states[qix].emit.len()
     }
 
-    /// The minimum watermark across all (active) queries, mirroring
+    /// The minimum watermark across all queries, mirroring
     /// [`crate::MultiEngine::watermark`].
     pub fn watermark(&self) -> Option<Timestamp> {
         self.states
             .iter()
-            .filter(|s| s.active)
             .map(|s| self.epochs[s.epoch].wm.current())
             .min()
     }
@@ -459,7 +422,7 @@ impl SharedMultiEngine {
                 for ep in self.epochs.iter_mut() {
                     if ep.wm.observe_event(event.ts()) {
                         for &qix in &ep.queries {
-                            self.states[qix].stats.late_drops += 1;
+                            self.states[qix].emit.stats.late_drops += 1;
                         }
                     }
                 }
@@ -473,11 +436,7 @@ impl SharedMultiEngine {
                 }
             }
         }
-        for qix in 0..self.states.len() {
-            if self.states[qix].active {
-                self.drain_sealed(qix);
-            }
-        }
+        self.drain_sealed();
         for eix in 0..self.epochs.len() {
             if self.config.purge.due(self.epochs[eix].seq.get()) {
                 self.run_purge(eix);
@@ -500,17 +459,16 @@ impl SharedMultiEngine {
         // negatives first: a negative at the same timestamp as a positive
         // arrival must be visible to validation during this call
         for &qix in &entry.neg_queries {
-            let ev = Arc::clone(&stamped[self.states[qix].epoch]);
-            let must_retract = {
-                let st = &mut self.states[qix];
-                st.negatives.offer(&ev, &mut st.stats);
-                // non-speculative queries can still inherit unsealed
-                // records from a speculative snapshot; those must retract
-                st.policy.speculates() || !st.emitted_unsealed.is_empty()
-            };
-            if must_retract {
-                self.retract_invalidated(qix, &ev);
-            }
+            let st = &mut self.states[qix];
+            let ep = &self.epochs[st.epoch];
+            st.emit.offer_negative(
+                &stamped[st.epoch],
+                true,
+                ep.seq,
+                &ep.wm,
+                &mut self.retractions_to_drop,
+                &mut st.phased,
+            );
         }
 
         let mut marked = std::mem::take(&mut self.scratch_marked);
@@ -543,7 +501,7 @@ impl SharedMultiEngine {
             }
             if evals > 0 {
                 for r in &node.refs {
-                    self.states[r.query].stats.predicate_evals += evals;
+                    self.states[r.query].emit.stats.predicate_evals += evals;
                 }
             }
             if !pass {
@@ -562,7 +520,7 @@ impl SharedMultiEngine {
             };
             let depth = self.stacks[six].len();
             for r in &node.refs {
-                let st = &mut self.states[r.query].stats;
+                let st = &mut self.states[r.query].emit.stats;
                 st.insertions += 1;
                 if pos + 1 != depth {
                     st.ooo_insertions += 1;
@@ -578,14 +536,14 @@ impl SharedMultiEngine {
         }
         for qix in marked.drain(..) {
             self.states[qix].routed = false;
-            self.states[qix].stats.events_routed += 1;
+            self.states[qix].emit.stats.events_routed += 1;
         }
         self.scratch_marked = marked;
     }
 
     /// Per-query construction for anchors outside any shared prefix walk:
-    /// the native walker over pooled stacks, restricted to the anchor's
-    /// partition key when the query shards.
+    /// the query's own constructor over its pooled stacks, restricted to
+    /// the anchor's partition key when the query shards.
     fn plain_construct(
         &mut self,
         plan: &SharedPlan,
@@ -593,10 +551,11 @@ impl SharedMultiEngine {
         anchor_slot: usize,
         anchor: &EventRef,
     ) {
-        let qnode = &plan.queries[qix];
-        let query = Arc::clone(&qnode.query);
+        let slot_stack = &plan.queries[qix].stack_of_slot;
+        let stacks = &self.stacks;
+        let st = &mut self.states[qix];
         let scheme = if self.config.partitioned {
-            query.partition()
+            st.ctor.query().partition()
         } else {
             None
         };
@@ -606,24 +565,32 @@ impl SharedMultiEngine {
                 .and_then(PartitionKey::from_value)
         });
         let mut raw: Vec<Vec<EventRef>> = Vec::new();
-        {
-            let st = &mut self.states[qix];
-            let mut walker = PlainWalker {
-                query: &query,
-                slot_stack: &qnode.stack_of_slot,
-                stacks: &self.stacks,
-                cutoff: self.config.construct.window_cutoff,
-                window: query.window(),
-                anchor_slot,
-                scheme,
-                key,
-                stats: &mut st.stats,
-                out: &mut raw,
-            };
-            walker.run(anchor);
-        }
+        st.ctor.matches_over(
+            |slot| &stacks[slot_stack[slot]],
+            |slot, ev| match (scheme, &key) {
+                (Some(s), Some(k)) => {
+                    ev.field(s.fields[slot])
+                        .and_then(PartitionKey::from_value)
+                        .as_ref()
+                        == Some(k)
+                }
+                _ => true,
+            },
+            anchor_slot,
+            anchor,
+            &mut st.emit.stats,
+            &mut raw,
+        );
+        let ep = &self.epochs[st.epoch];
         for events in raw {
-            self.route_match(qix, anchor_slot, events, anchor.id());
+            st.emit.route_match(
+                anchor_slot,
+                events,
+                anchor.id(),
+                ep.seq,
+                &ep.wm,
+                &mut st.phased,
+            );
         }
     }
 
@@ -645,12 +612,11 @@ impl SharedMultiEngine {
                 .and_then(PartitionKey::from_value)
         });
         let n_members = g.members.len();
-        let mut walker = GroupWalker {
+        let mut site = GroupSite {
             g,
             plan,
             stacks: &self.stacks,
             cutoff: self.config.construct.window_cutoff,
-            anchor_pos,
             key,
             shared_dfs: 0,
             member_evals: vec![0; n_members],
@@ -659,8 +625,15 @@ impl SharedMultiEngine {
             partials: 0,
             forked: Vec::new(),
         };
-        walker.run(anchor);
-        let GroupWalker {
+        walk(
+            &mut site,
+            g.prefix_len(),
+            anchor_pos,
+            anchor,
+            g.window,
+            self.config.construct,
+        );
+        let GroupSite {
             shared_dfs,
             member_evals,
             member_dfs,
@@ -668,161 +641,35 @@ impl SharedMultiEngine {
             partials,
             forked,
             ..
-        } = walker;
+        } = site;
         self.counters.shared_partials += partials;
         self.counters.fanout_outputs += forked.len() as u64;
         for (mx, member) in g.members.iter().enumerate() {
-            let st = &mut self.states[member.query].stats;
+            let st = &mut self.states[member.query].emit.stats;
             st.dfs_steps += shared_dfs + member_dfs[mx];
             st.predicate_evals += member_evals[mx];
             st.matches_constructed += member_constructed[mx];
         }
         for (mx, events) in forked {
-            self.route_match(g.members[mx].query, anchor_pos, events, anchor.id());
+            let st = &mut self.states[g.members[mx].query];
+            let ep = &self.epochs[st.epoch];
+            st.emit.route_match(
+                anchor_pos,
+                events,
+                anchor.id(),
+                ep.seq,
+                &ep.wm,
+                &mut st.phased,
+            );
         }
     }
 
-    /// Native `route_match`: decide whether a freshly constructed match
-    /// emits now, waits for its negation regions to seal, is deferred
-    /// wholesale (lazy), or (speculative) emits optimistically.
-    fn route_match(&mut self, qix: usize, slot: usize, events: Vec<EventRef>, trigger: EventId) {
-        let eix = self.states[qix].epoch;
-        let (seq, clock, wm) = {
-            let ep = &self.epochs[eix];
-            (ep.seq, ep.wm.clock(), ep.wm.current())
-        };
-        let st = &mut self.states[qix];
-        let policy = st.policy;
-        let make = |st: &QueryState, events: Vec<EventRef>, kind: OutputKind| OutputItem {
-            kind,
-            m: Match::new(&st.query, events),
-            emit_seq: seq,
-            emit_clock: clock,
-            cause: Some(trigger),
-        };
-        if !st.query.has_negation() {
-            if policy == DisorderPolicy::Lazy {
-                // defer delivery until the match's newest constituent is
-                // below the watermark (identical to the native engine)
-                let deadline = events.last().expect("match has events").ts();
-                st.pending.push(Reverse(Pending { deadline, events }));
-            } else {
-                let o = make(st, events, OutputKind::Insert);
-                st.phased.constructed.push((slot, o));
-            }
-            return;
+    /// Emits every query's pending matches whose regions sealed.
+    fn drain_sealed(&mut self) {
+        for st in &mut self.states {
+            let ep = &self.epochs[st.epoch];
+            st.emit.drain_sealed(ep.seq, &ep.wm, &mut st.phased);
         }
-        let deadline = seal_deadline(&st.query, &events).expect("query has negation");
-        match policy {
-            DisorderPolicy::Lazy => {
-                st.pending.push(Reverse(Pending { deadline, events }));
-            }
-            DisorderPolicy::Conservative | DisorderPolicy::AdaptiveSlack { .. } => {
-                if deadline <= wm {
-                    if !st.negatives.violates(&events, &mut st.stats) {
-                        let o = make(st, events, OutputKind::Insert);
-                        st.phased.constructed.push((slot, o));
-                    }
-                } else {
-                    st.pending.push(Reverse(Pending { deadline, events }));
-                }
-            }
-            DisorderPolicy::Speculative => {
-                if st.negatives.violates(&events, &mut st.stats) {
-                    return;
-                }
-                if deadline > wm {
-                    st.emitted_unsealed.push(EmittedUnsealed {
-                        deadline,
-                        events: events.clone(),
-                    });
-                }
-                let o = make(st, events, OutputKind::Insert);
-                st.phased.constructed.push((slot, o));
-            }
-        }
-    }
-
-    /// Speculative mode: a just-arrived negative retracts any emitted,
-    /// still-unsealed match of `qix` it invalidates.
-    fn retract_invalidated(&mut self, qix: usize, negative: &EventRef) {
-        let eix = self.states[qix].epoch;
-        let (seq, clock) = {
-            let ep = &self.epochs[eix];
-            (ep.seq, ep.wm.clock())
-        };
-        let st = &mut self.states[qix];
-        let query = Arc::clone(&st.query);
-        let mut retracted: Vec<(Timestamp, Vec<EventRef>)> = Vec::new();
-        st.emitted_unsealed.retain(|rec| {
-            let rs = regions(&query, &rec.events);
-            for (ix, neg) in query.negations().iter().enumerate() {
-                if !neg.matches_type(negative.event_type()) {
-                    continue;
-                }
-                let region = rs[ix];
-                if region.is_empty() || negative.ts() < region.start || negative.ts() >= region.end
-                {
-                    continue;
-                }
-                let mut binding = query.binding_from_positives(&rec.events);
-                binding[neg.comp] = Some(negative);
-                if neg
-                    .predicates
-                    .iter()
-                    .all(|p| p.eval(&binding) == Some(true))
-                {
-                    retracted.push((rec.deadline, rec.events.clone()));
-                    return false;
-                }
-            }
-            true
-        });
-        for (deadline, events) in retracted {
-            let st = &mut self.states[qix];
-            st.stats.negated_matches += 1;
-            if self.retractions_dropped < self.config.retraction_drop {
-                self.retractions_dropped += 1;
-                continue;
-            }
-            let st = &mut self.states[qix];
-            let o = OutputItem {
-                kind: OutputKind::Retract,
-                m: Match::new(&st.query, events),
-                emit_seq: seq,
-                emit_clock: clock,
-                cause: Some(negative.id()),
-            };
-            st.phased.retracts.push((deadline, o));
-        }
-    }
-
-    /// Emits pending matches whose regions sealed; forgets sealed
-    /// speculative records.
-    fn drain_sealed(&mut self, qix: usize) {
-        let eix = self.states[qix].epoch;
-        let (seq, clock, wm) = {
-            let ep = &self.epochs[eix];
-            (ep.seq, ep.wm.clock(), ep.wm.current())
-        };
-        let st = &mut self.states[qix];
-        while let Some(Reverse(top)) = st.pending.peek() {
-            if top.deadline > wm {
-                break;
-            }
-            let Reverse(p) = st.pending.pop().expect("peeked");
-            if !st.negatives.violates(&p.events, &mut st.stats) {
-                let o = OutputItem {
-                    kind: OutputKind::Insert,
-                    m: Match::new(&st.query, p.events),
-                    emit_seq: seq,
-                    emit_clock: clock,
-                    cause: None,
-                };
-                st.phased.sealed.push((p.deadline, o));
-            }
-        }
-        st.emitted_unsealed.retain(|rec| rec.deadline > wm);
     }
 
     /// Purges one epoch's pooled stacks and its queries' negative
@@ -833,7 +680,7 @@ impl SharedMultiEngine {
     fn run_purge(&mut self, eix: usize) {
         for i in 0..self.epochs[eix].queries.len() {
             let qix = self.epochs[eix].queries[i];
-            self.states[qix].stats.purge_runs += 1;
+            self.states[qix].emit.stats.purge_runs += 1;
         }
         let wm = self.epochs[eix].wm.current();
         let skew = Duration::new(self.config.purge_horizon_skew);
@@ -857,7 +704,7 @@ impl SharedMultiEngine {
                 let removed = self.stacks[six].purge_before(t) as u64;
                 if removed > 0 {
                     for r in &node.refs {
-                        self.states[r.query].stats.purged += removed;
+                        self.states[r.query].emit.stats.purged += removed;
                     }
                 }
             }
@@ -865,10 +712,9 @@ impl SharedMultiEngine {
         self.plan = plan;
         for i in 0..self.epochs[eix].queries.len() {
             let qix = self.epochs[eix].queries[i];
-            let window = self.states[qix].query.window();
-            let t = purge::negative_threshold(wm, window).saturating_add(skew);
             let st = &mut self.states[qix];
-            st.negatives.purge_before(t, &mut st.stats);
+            let t = purge::negative_threshold(wm, st.ctor.query().window()).saturating_add(skew);
+            st.emit.purge_negatives(t, true);
         }
     }
 
@@ -899,7 +745,7 @@ impl SharedMultiEngine {
     // ------------------------------------------------------------------
 
     /// Serializes the evaluation as a [`crate::MultiEngine`] envelope of
-    /// per-query [`NativeEngine`]-format blobs: plan-shape-agnostic by
+    /// per-query [`crate::NativeEngine`]-format blobs: plan-shape-agnostic by
     /// construction (each blob describes one logical query, not the
     /// pooled layout), so it restores into independent engines — or into
     /// a shared evaluator compiled from a different registration history.
@@ -915,40 +761,26 @@ impl SharedMultiEngine {
     fn query_blob(&self, qix: usize) -> Vec<u8> {
         let st = &self.states[qix];
         let ep = &self.epochs[st.epoch];
-        let q = &st.query;
-        let m = q.positive_len();
+        let q = st.ctor.query();
         let mut w = Writer::new();
-        w.put_u64(engine_fingerprint(q, &self.config));
+        w.put_u64(Emitter::fingerprint(q, &self.config));
         ep.wm.snapshot_into(&mut w);
         ep.seq.encode(&mut w);
-        st.stats.encode(&mut w);
+        st.emit.stats.encode(&mut w);
         // per-slot event lists from the pooled stacks (identical content
         // to what the query's isolated engine would hold, modulo the
-        // pooled purge superset)
-        let slot_events: Vec<&[EventRef]> = if st.active {
-            self.plan.queries[qix]
-                .stack_of_slot
-                .iter()
-                .map(|&six| self.stacks[six].events())
-                .collect()
-        } else {
-            vec![&[] as &[EventRef]; m]
-        };
-        let build_stacks = |per_slot: &[Vec<EventRef>]| -> Vec<AisStack> {
-            per_slot
-                .iter()
-                .map(|events| {
-                    let mut s = AisStack::new();
-                    for ev in events {
-                        s.insert(Arc::clone(ev));
-                    }
-                    s
-                })
-                .collect()
-        };
+        // pooled purge superset). A pooled stack's events — and any one
+        // key's subsequence of them — are sorted and distinct, so they
+        // encode exactly as the isolated engine's stacks do.
+        let slot_events: Vec<&[EventRef]> = self.plan.queries[qix]
+            .stack_of_slot
+            .iter()
+            .map(|&six| self.stacks[six].events())
+            .collect();
         match (self.config.partitioned, q.partition()) {
             (true, Some(scheme)) => {
                 w.put_u8(1);
+                let m = slot_events.len();
                 let mut shards: BTreeMap<PartitionKey, Vec<Vec<EventRef>>> = BTreeMap::new();
                 for (slot, events) in slot_events.iter().enumerate() {
                     for ev in *events {
@@ -963,30 +795,18 @@ impl SharedMultiEngine {
                 w.put_u64(shards.len() as u64);
                 for (key, per_slot) in &shards {
                     key.encode(&mut w);
-                    build_stacks(per_slot).encode(&mut w);
+                    per_slot.encode(&mut w);
                 }
             }
             _ => {
                 w.put_u8(0);
-                let per_slot: Vec<Vec<EventRef>> = slot_events.iter().map(|e| e.to_vec()).collect();
-                build_stacks(&per_slot).encode(&mut w);
+                w.put_u64(slot_events.len() as u64);
+                for events in &slot_events {
+                    events.encode(&mut w);
+                }
             }
         }
-        st.negatives.snapshot_into(&mut w);
-        let mut pend: Vec<(Timestamp, &Vec<EventRef>)> = st
-            .pending
-            .iter()
-            .map(|Reverse(p)| (p.deadline, &p.events))
-            .collect();
-        NativeEngine::sort_match_records(&mut pend);
-        NativeEngine::encode_match_records(&pend, &mut w);
-        let mut emitted: Vec<(Timestamp, &Vec<EventRef>)> = st
-            .emitted_unsealed
-            .iter()
-            .map(|rec| (rec.deadline, &rec.events))
-            .collect();
-        NativeEngine::sort_match_records(&mut emitted);
-        NativeEngine::encode_match_records(&emitted, &mut w);
+        Emitter::write_tail(&[&st.emit], &mut w);
         seal_envelope(&w.into_bytes())
     }
 
@@ -997,16 +817,6 @@ impl SharedMultiEngine {
     /// untouched. Epochs are re-derived by grouping queries with
     /// identical restored (watermark, sequence) stream positions.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        struct RestoredQuery {
-            wm: WatermarkTracker,
-            wm_bytes: Vec<u8>,
-            seq: ArrivalSeq,
-            stats: RuntimeStats,
-            slot_events: Vec<Vec<EventRef>>,
-            negatives: NegationIndex,
-            pending: BinaryHeap<Reverse<Pending>>,
-            emitted_unsealed: Vec<EmittedUnsealed>,
-        }
         let payload = open_envelope(bytes)?;
         let mut r = Reader::new(payload);
         if r.get_u64()? != self.specs.len() as u64 {
@@ -1017,92 +827,22 @@ impl SharedMultiEngine {
             blobs.push(r.get_bytes()?);
         }
         r.finish()?;
-        let mut restored: Vec<RestoredQuery> = Vec::with_capacity(blobs.len());
-        for (qix, blob) in blobs.iter().enumerate() {
-            let q = Arc::clone(&self.states[qix].query);
-            let m = q.positive_len();
-            let payload = open_envelope(blob)?;
-            let mut r = Reader::new(payload);
-            if r.get_u64()? != engine_fingerprint(&q, &self.config) {
-                return Err(CodecError::SnapshotMismatch(
-                    "query/configuration fingerprint",
-                ));
-            }
-            // the tracker's slack parameters derive from the query's
-            // *current* policy, not the snapshot (policy changes across a
-            // checkpoint take effect on restore, as in the native engine)
-            let mut qconfig = self.config;
-            qconfig.policy = self.states[qix].policy;
-            let wm = WatermarkTracker::restore_from(&qconfig, &mut r)?;
-            let mut wb = Writer::new();
-            wm.snapshot_into(&mut wb);
-            let seq = ArrivalSeq::decode(&mut r)?;
-            let stats = RuntimeStats::decode(&mut r)?;
-            let decode_stacks = |r: &mut Reader<'_>| -> Result<Vec<AisStack>, CodecError> {
-                let stacks = Vec::<AisStack>::decode(r)?;
-                if stacks.len() != m {
-                    return Err(CodecError::SnapshotMismatch("positive slot count"));
-                }
-                Ok(stacks)
+        let mut restored: Vec<QueryBlob> = Vec::with_capacity(blobs.len());
+        for (st, blob) in self.states.iter().zip(&blobs) {
+            let config = EngineConfig {
+                policy: st.emit.policy,
+                ..self.config
             };
-            let mut slot_events: Vec<Vec<EventRef>> = vec![Vec::new(); m];
-            match r.get_u8()? {
-                0 => {
-                    for (slot, stack) in decode_stacks(&mut r)?.into_iter().enumerate() {
-                        slot_events[slot] = stack.events().to_vec();
-                    }
-                }
-                1 => {
-                    if !(self.config.partitioned && q.partition().is_some()) {
-                        return Err(CodecError::SnapshotMismatch("partitioning scheme"));
-                    }
-                    let n = r.get_u64()?;
-                    if n > r.remaining() as u64 {
-                        return Err(CodecError::BadLength);
-                    }
-                    for _ in 0..n {
-                        let _key = PartitionKey::decode(&mut r)?;
-                        for (slot, stack) in decode_stacks(&mut r)?.into_iter().enumerate() {
-                            slot_events[slot].extend(stack.events().iter().cloned());
-                        }
-                    }
-                }
-                tag => {
-                    return Err(CodecError::InvalidTag {
-                        what: "ShardSet",
-                        tag,
-                    })
-                }
-            }
-            let negatives = NegationIndex::restore(Arc::clone(&q), &mut r)?;
-            let pending: BinaryHeap<Reverse<Pending>> = NativeEngine::decode_match_records(&mut r)?
-                .into_iter()
-                .map(|(deadline, events)| Reverse(Pending { deadline, events }))
-                .collect();
-            let emitted_unsealed: Vec<EmittedUnsealed> =
-                NativeEngine::decode_match_records(&mut r)?
-                    .into_iter()
-                    .map(|(deadline, events)| EmittedUnsealed { deadline, events })
-                    .collect();
-            r.finish()?;
-            restored.push(RestoredQuery {
-                wm,
-                wm_bytes: wb.into_bytes(),
-                seq,
-                stats,
-                slot_events,
-                negatives,
-                pending,
-                emitted_unsealed,
-            });
+            restored.push(QueryBlob::read(st.ctor.query(), &config, blob)?);
         }
         // regroup epochs: queries at identical stream positions with a
         // compatible watermark class share one
         let mut keys: Vec<(Vec<u8>, u64, WmClass)> = Vec::new();
         let mut epoch_of: Vec<usize> = Vec::with_capacity(restored.len());
-        for (qix, rq) in restored.iter().enumerate() {
-            let class = WmClass::of(self.states[qix].policy);
-            let key = (rq.wm_bytes.clone(), rq.seq.get(), class);
+        for (st, rq) in self.states.iter().zip(&restored) {
+            let mut wb = Writer::new();
+            rq.wm.snapshot_into(&mut wb);
+            let key = (wb.into_bytes(), rq.seq.get(), WmClass::of(st.emit.policy));
             let eix = match keys.iter().position(|k| *k == key) {
                 Some(i) => i,
                 None => {
@@ -1119,12 +859,12 @@ impl SharedMultiEngine {
         let plan = compile(&specs, self.config.partitioned);
         let mut stacks: Vec<AisStack> = plan.stacks.iter().map(|_| AisStack::new()).collect();
         for (qix, rq) in restored.iter().enumerate() {
-            if !plan.queries[qix].active {
-                continue;
-            }
-            for (slot, &six) in plan.queries[qix].stack_of_slot.iter().enumerate() {
-                for ev in &rq.slot_events[slot] {
-                    stacks[six].insert(Arc::clone(ev));
+            for shard in rq.shards.iter() {
+                for (slot, stack) in shard.stacks.iter().enumerate() {
+                    let six = plan.queries[qix].stack_of_slot[slot];
+                    for ev in stack.events() {
+                        stacks[six].insert(Arc::clone(ev));
+                    }
                 }
             }
         }
@@ -1141,9 +881,7 @@ impl SharedMultiEngine {
             });
         }
         for (qix, spec) in specs.iter().enumerate() {
-            if spec.active {
-                epochs[spec.epoch].queries.push(qix);
-            }
+            epochs[spec.epoch].queries.push(qix);
         }
         // commit
         self.specs = specs;
@@ -1151,13 +889,9 @@ impl SharedMultiEngine {
         self.stacks = stacks;
         self.epochs = epochs;
         self.open_epochs.clear();
-        for (qix, rq) in restored.into_iter().enumerate() {
-            let st = &mut self.states[qix];
-            st.epoch = epoch_of[qix];
-            st.negatives = rq.negatives;
-            st.pending = rq.pending;
-            st.emitted_unsealed = rq.emitted_unsealed;
-            st.stats = rq.stats;
+        for ((st, rq), epoch) in self.states.iter_mut().zip(restored).zip(epoch_of) {
+            st.epoch = epoch;
+            st.emit = rq.emit;
             st.phased = PhasedOutput::default();
             st.routed = false;
         }
@@ -1165,170 +899,17 @@ impl SharedMultiEngine {
     }
 }
 
-// ----------------------------------------------------------------------
-// walkers
-// ----------------------------------------------------------------------
-
-/// Replicates [`sequin_runtime::Constructor`]'s walk — same bounds, same
-/// newest-first prefix / ascending suffix order, same short-circuit
-/// accounting — over pooled stacks resolved per slot, restricted to the
-/// anchor's partition key when the query shards (a key-filtered pooled
-/// stack scans the same candidates, in the same order, as the key's
-/// dedicated shard stack).
-struct PlainWalker<'a> {
-    query: &'a Arc<Query>,
-    slot_stack: &'a [usize],
-    stacks: &'a [AisStack],
-    cutoff: bool,
-    window: Duration,
-    anchor_slot: usize,
-    scheme: Option<&'a sequin_query::PartitionScheme>,
-    key: Option<PartitionKey>,
-    stats: &'a mut RuntimeStats,
-    out: &'a mut Vec<Vec<EventRef>>,
-}
-
-impl PlainWalker<'_> {
-    fn run(&mut self, anchor: &EventRef) {
-        let m = self.query.positive_len();
-        let mut chosen: Vec<Option<EventRef>> = vec![None; m];
-        chosen[self.anchor_slot] = Some(Arc::clone(anchor));
-        if !check_bound_preds(self.query, &chosen, self.anchor_slot, self.stats) {
-            return;
-        }
-        self.extend_prefix(self.anchor_slot, &mut chosen);
-    }
-
-    fn key_match(&self, slot: usize, ev: &EventRef) -> bool {
-        match (self.scheme, &self.key) {
-            (Some(s), Some(k)) => {
-                ev.field(s.fields[slot])
-                    .and_then(PartitionKey::from_value)
-                    .as_ref()
-                    == Some(k)
-            }
-            _ => true,
-        }
-    }
-
-    fn extend_prefix(&mut self, filled_down_to: usize, chosen: &mut [Option<EventRef>]) {
-        if filled_down_to == 0 {
-            self.extend_suffix(self.anchor_slot, chosen);
-            return;
-        }
-        let slot = filled_down_to - 1;
-        let next_ts = chosen[slot + 1].as_ref().expect("slot above is bound").ts();
-        let anchor_ts = chosen[self.anchor_slot]
-            .as_ref()
-            .expect("anchor bound")
-            .ts();
-        let lo = anchor_ts.saturating_sub(self.window);
-        let stacks: &[AisStack] = self.stacks;
-        let stack = &stacks[self.slot_stack[slot]];
-        let candidates: &[EventRef] = if self.cutoff {
-            stack.range(lo, next_ts)
-        } else {
-            stack.events()
-        };
-        for ev in candidates.iter().rev() {
-            if !self.key_match(slot, ev) {
-                continue;
-            }
-            self.stats.dfs_steps += 1;
-            if !self.cutoff && (ev.ts() < lo || ev.ts() >= next_ts) {
-                continue;
-            }
-            let ev = Arc::clone(ev);
-            chosen[slot] = Some(ev);
-            if check_bound_preds(self.query, chosen, slot, self.stats) {
-                self.extend_prefix(slot, chosen);
-            }
-            chosen[slot] = None;
-        }
-    }
-
-    fn extend_suffix(&mut self, filled_up_to: usize, chosen: &mut [Option<EventRef>]) {
-        let m = self.query.positive_len();
-        if filled_up_to == m - 1 {
-            let events: Vec<EventRef> = chosen
-                .iter()
-                .map(|c| Arc::clone(c.as_ref().expect("complete")))
-                .collect();
-            self.stats.matches_constructed += 1;
-            self.out.push(events);
-            return;
-        }
-        let slot = filled_up_to + 1;
-        let prev_ts = chosen[slot - 1].as_ref().expect("slot below is bound").ts();
-        let first_ts = chosen[0].as_ref().expect("prefix complete").ts();
-        let lo = prev_ts.saturating_add(Duration::new(1));
-        let hi = first_ts
-            .saturating_add(self.window)
-            .saturating_add(Duration::new(1));
-        let stacks: &[AisStack] = self.stacks;
-        let stack = &stacks[self.slot_stack[slot]];
-        let candidates: &[EventRef] = if self.cutoff {
-            stack.range(lo, hi)
-        } else {
-            stack.events()
-        };
-        for ev in candidates.iter() {
-            if !self.key_match(slot, ev) {
-                continue;
-            }
-            self.stats.dfs_steps += 1;
-            if !self.cutoff && (ev.ts() < lo || ev.ts() >= hi) {
-                continue;
-            }
-            let ev = Arc::clone(ev);
-            chosen[slot] = Some(ev);
-            if check_bound_preds(self.query, chosen, slot, self.stats) {
-                self.extend_suffix(slot, chosen);
-            }
-            chosen[slot] = None;
-        }
-    }
-}
-
-/// The constructor's bind check: evaluate every positive predicate whose
-/// mask contains the just-bound slot's component; `Some(false)` prunes,
-/// `None` (still-unbound references) does not.
-fn check_bound_preds(
-    query: &Query,
-    chosen: &[Option<EventRef>],
-    slot: usize,
-    stats: &mut RuntimeStats,
-) -> bool {
-    let comp = query.positive_comp(slot);
-    let mut binding: Vec<Option<&EventRef>> = vec![None; query.components().len()];
-    for (p, c) in chosen.iter().enumerate() {
-        if let Some(ev) = c.as_ref() {
-            binding[query.positive_comp(p)] = Some(ev);
-        }
-    }
-    for pred in query.predicates() {
-        if pred.mask().contains(comp) {
-            stats.predicate_evals += 1;
-            if pred.eval(&binding) == Some(false) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// The shared prefix enumeration: the constructor's walk over the group's
+/// The shared prefix enumeration: the construction walk over the group's
 /// prefix positions (bounds and order identical for every member), with
 /// group-common predicates evaluated once on the representative binding
 /// and per-member short-circuit accounting reconstructed from the
 /// compiled [`sequin_plan::BindPlan`]. Each complete partial is forked to
 /// every member's final-slot scan.
-struct GroupWalker<'a> {
-    g: &'a PrefixGroup,
-    plan: &'a SharedPlan,
-    stacks: &'a [AisStack],
+struct GroupSite<'s> {
+    g: &'s PrefixGroup,
+    plan: &'s SharedPlan,
+    stacks: &'s [AisStack],
     cutoff: bool,
-    anchor_pos: usize,
     key: Option<PartitionKey>,
     shared_dfs: u64,
     member_evals: Vec<u64>,
@@ -1339,18 +920,12 @@ struct GroupWalker<'a> {
     forked: Vec<(usize, Vec<EventRef>)>,
 }
 
-impl GroupWalker<'_> {
-    fn run(&mut self, anchor: &EventRef) {
-        let prefix_len = self.g.prefix_len();
-        let mut chosen: Vec<Option<EventRef>> = vec![None; prefix_len];
-        chosen[self.anchor_pos] = Some(Arc::clone(anchor));
-        if !self.bind_check(&chosen, self.anchor_pos) {
-            return;
-        }
-        self.descend(self.anchor_pos, &mut chosen);
+impl<'s> WalkSite<'s> for GroupSite<'s> {
+    fn stack(&self, pos: usize) -> &'s AisStack {
+        &self.stacks[self.g.prefix_stacks[pos]]
     }
 
-    fn key_match_prefix(&self, pos: usize, ev: &EventRef) -> bool {
+    fn admit(&self, pos: usize, ev: &EventRef) -> bool {
         match (&self.g.partition_fields, &self.key) {
             (Some(fields), Some(k)) => {
                 ev.field(fields[pos])
@@ -1365,7 +940,7 @@ impl GroupWalker<'_> {
     /// Evaluates the common predicates referencing the just-bound
     /// position once, then replays each member's declaration-order
     /// short-circuit against the observed first failure.
-    fn bind_check(&mut self, chosen: &[Option<EventRef>], pos: usize) -> bool {
+    fn bind(&mut self, chosen: &[Option<EventRef>], pos: usize) -> bool {
         let rep = &self.g.rep;
         let mut binding: Vec<Option<&EventRef>> = vec![None; rep.components().len()];
         for (p, c) in chosen.iter().enumerate() {
@@ -1394,78 +969,13 @@ impl GroupWalker<'_> {
         failed.is_none()
     }
 
-    fn descend(&mut self, filled_down_to: usize, chosen: &mut Vec<Option<EventRef>>) {
-        if filled_down_to == 0 {
-            self.ascend(self.anchor_pos, chosen);
-            return;
-        }
-        let pos = filled_down_to - 1;
-        let next_ts = chosen[pos + 1].as_ref().expect("slot above is bound").ts();
-        let anchor_ts = chosen[self.anchor_pos].as_ref().expect("anchor bound").ts();
-        let lo = anchor_ts.saturating_sub(self.g.window);
-        let stacks: &[AisStack] = self.stacks;
-        let stack = &stacks[self.g.prefix_stacks[pos]];
-        let candidates: &[EventRef] = if self.cutoff {
-            stack.range(lo, next_ts)
-        } else {
-            stack.events()
-        };
-        for ev in candidates.iter().rev() {
-            if !self.key_match_prefix(pos, ev) {
-                continue;
-            }
-            self.shared_dfs += 1;
-            if !self.cutoff && (ev.ts() < lo || ev.ts() >= next_ts) {
-                continue;
-            }
-            let ev = Arc::clone(ev);
-            chosen[pos] = Some(ev);
-            if self.bind_check(chosen, pos) {
-                self.descend(pos, chosen);
-            }
-            chosen[pos] = None;
-        }
-    }
-
-    fn ascend(&mut self, filled_up_to: usize, chosen: &mut Vec<Option<EventRef>>) {
-        if filled_up_to + 1 == self.g.prefix_len() {
-            self.fork(chosen);
-            return;
-        }
-        let pos = filled_up_to + 1;
-        let prev_ts = chosen[pos - 1].as_ref().expect("slot below is bound").ts();
-        let first_ts = chosen[0].as_ref().expect("prefix complete").ts();
-        let lo = prev_ts.saturating_add(Duration::new(1));
-        let hi = first_ts
-            .saturating_add(self.g.window)
-            .saturating_add(Duration::new(1));
-        let stacks: &[AisStack] = self.stacks;
-        let stack = &stacks[self.g.prefix_stacks[pos]];
-        let candidates: &[EventRef] = if self.cutoff {
-            stack.range(lo, hi)
-        } else {
-            stack.events()
-        };
-        for ev in candidates.iter() {
-            if !self.key_match_prefix(pos, ev) {
-                continue;
-            }
-            self.shared_dfs += 1;
-            if !self.cutoff && (ev.ts() < lo || ev.ts() >= hi) {
-                continue;
-            }
-            let ev = Arc::clone(ev);
-            chosen[pos] = Some(ev);
-            if self.bind_check(chosen, pos) {
-                self.ascend(pos, chosen);
-            }
-            chosen[pos] = None;
-        }
+    fn step(&mut self) {
+        self.shared_dfs += 1;
     }
 
     /// A complete prefix partial: scan each member's final-slot stack
     /// (the innermost level of the member's own walk).
-    fn fork(&mut self, chosen: &[Option<EventRef>]) {
+    fn complete(&mut self, chosen: &[Option<EventRef>]) {
         self.partials += 1;
         let prefix_len = self.g.prefix_len();
         let prev_ts = chosen[prefix_len - 1]
@@ -1530,6 +1040,7 @@ impl GroupWalker<'_> {
 mod tests {
     use super::*;
     use crate::multi::MultiEngine;
+    use crate::native::NativeEngine;
     use crate::traits::Strategy;
     use sequin_prng::Rng;
     use sequin_query::parse;
@@ -1862,23 +1373,6 @@ mod tests {
         }
         outputs_eq(&got, &want, "finish");
         assert_eq!(shared.plan_metrics().epochs, 2, "mid-stream epoch split");
-    }
-
-    #[test]
-    fn unregister_keeps_ids_and_silences_query() {
-        let reg = registry();
-        let q1 = parse("PATTERN SEQ(A a, B b) WITHIN 40", &reg).unwrap();
-        let q2 = parse("PATTERN SEQ(A a, C c) WITHIN 40", &reg).unwrap();
-        let mut shared = SharedMultiEngine::new(EngineConfig::default());
-        let id1 = shared.register(q1);
-        let id2 = shared.register(q2);
-        shared.ingest(&item(&reg, "A", 1, 10, 0, 0));
-        shared.unregister(id1);
-        let out = shared.ingest(&item(&reg, "B", 2, 20, 0, 0));
-        assert!(out.iter().all(|(q, _)| *q != id1), "unregistered is silent");
-        let out = shared.ingest(&item(&reg, "C", 3, 21, 0, 0));
-        assert!(out.iter().any(|(q, _)| *q == id2), "survivor still fires");
-        assert_eq!(shared.len(), 2, "dense ids stay allocated");
     }
 
     /// The checkpoint bytes are a compatibility contract: a snapshot of

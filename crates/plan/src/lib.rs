@@ -62,9 +62,6 @@ pub struct QuerySpec {
     /// Registration epoch (dense index; queries registered at the same
     /// stream position share one).
     pub epoch: usize,
-    /// False once unregistered: the query keeps its dense id (so output
-    /// tags and snapshots stay aligned) but owns no plan nodes.
-    pub active: bool,
 }
 
 /// Identity of a pooled stack: two (query, slot) pairs with equal
@@ -206,10 +203,8 @@ pub struct QueryNode {
     pub query: Arc<Query>,
     /// Registration epoch.
     pub epoch: usize,
-    /// Pooled stack index per positive slot (empty when inactive).
+    /// Pooled stack index per positive slot.
     pub stack_of_slot: Vec<usize>,
-    /// False once unregistered.
-    pub active: bool,
 }
 
 /// The lowered shared plan for a query set.
@@ -226,8 +221,8 @@ pub struct SharedPlan {
 }
 
 impl SharedPlan {
-    /// Number of active queries whose prefix enumeration is shared with
-    /// at least one other query.
+    /// Number of queries whose prefix enumeration is shared with at least
+    /// one other query.
     pub fn grouped_queries(&self) -> usize {
         self.groups.iter().map(|g| g.members.len()).sum()
     }
@@ -354,32 +349,29 @@ pub fn compile(specs: &[QuerySpec], partitioned: bool) -> SharedPlan {
 
     // 1. intern pooled stacks
     for (qix, spec) in specs.iter().enumerate() {
-        let mut stack_of_slot = Vec::new();
-        if spec.active {
-            let q = &spec.query;
-            for slot in 0..q.positive_len() {
-                let sig = slot_sig(q, slot, spec.epoch, partitioned);
-                let six = *sig_ix.entry(sig.clone()).or_insert_with(|| {
-                    stacks.push(StackNode {
-                        sig,
-                        refs: Vec::new(),
-                        local_preds: q.local_predicates(slot).into_iter().cloned().collect(),
-                        local_comp: q.positive_comp(slot),
-                        local_components: q.components().len(),
-                        shared_anchors: Vec::new(),
-                        plain_refs: Vec::new(),
-                    });
-                    stacks.len() - 1
+        let q = &spec.query;
+        let mut stack_of_slot = Vec::with_capacity(q.positive_len());
+        for slot in 0..q.positive_len() {
+            let sig = slot_sig(q, slot, spec.epoch, partitioned);
+            let six = *sig_ix.entry(sig.clone()).or_insert_with(|| {
+                stacks.push(StackNode {
+                    sig,
+                    refs: Vec::new(),
+                    local_preds: q.local_predicates(slot).into_iter().cloned().collect(),
+                    local_comp: q.positive_comp(slot),
+                    local_components: q.components().len(),
+                    shared_anchors: Vec::new(),
+                    plain_refs: Vec::new(),
                 });
-                stacks[six].refs.push(StackRef { query: qix, slot });
-                stack_of_slot.push(six);
-            }
+                stacks.len() - 1
+            });
+            stacks[six].refs.push(StackRef { query: qix, slot });
+            stack_of_slot.push(six);
         }
         queries.push(QueryNode {
-            query: Arc::clone(&spec.query),
+            query: Arc::clone(q),
             epoch: spec.epoch,
             stack_of_slot,
-            active: spec.active,
         });
     }
 
@@ -388,7 +380,7 @@ pub fn compile(specs: &[QuerySpec], partitioned: bool) -> SharedPlan {
     let mut group_members: HashMap<GroupKey, Vec<usize>> = HashMap::new();
     let mut key_order: Vec<GroupKey> = Vec::new();
     for (qix, node) in queries.iter().enumerate() {
-        if !node.active || node.query.positive_len() < 2 {
+        if node.query.positive_len() < 2 {
             continue;
         }
         let q = &node.query;
@@ -524,9 +516,6 @@ pub fn compile(specs: &[QuerySpec], partitioned: bool) -> SharedPlan {
         }
     }
     for (qix, node) in queries.iter().enumerate() {
-        if !node.active {
-            continue;
-        }
         for neg in node.query.negations() {
             for &ty in &neg.types {
                 let entry = routing.entry(ty).or_default();
@@ -564,7 +553,6 @@ mod tests {
         QuerySpec {
             query: parse(text, reg).unwrap(),
             epoch: 0,
-            active: true,
         }
     }
 
@@ -654,21 +642,6 @@ mod tests {
         let plan = compile(&[s1, s2], true);
         assert_eq!(plan.stacks.len(), 4, "different epochs never pool");
         assert!(plan.groups.is_empty());
-    }
-
-    #[test]
-    fn inactive_queries_own_no_plan_nodes() {
-        let reg = registry();
-        let mut s1 = spec("PATTERN SEQ(A a, B b) WITHIN 50", &reg);
-        let s2 = spec("PATTERN SEQ(A a, B b) WITHIN 50", &reg);
-        s1.active = false;
-        let plan = compile(&[s1, s2], true);
-        assert_eq!(plan.queries.len(), 2);
-        assert!(plan.queries[0].stack_of_slot.is_empty());
-        assert_eq!(plan.stacks.len(), 2);
-        for s in &plan.stacks {
-            assert_eq!(s.refs.len(), 1);
-        }
     }
 
     #[test]

@@ -26,6 +26,157 @@ impl Default for ConstructOpts {
     }
 }
 
+/// The caller's side of one construction walk ([`walk`]): where each
+/// position's candidates live and what happens as positions bind.
+///
+/// The walk owns the visiting order and the window bounds; a site
+/// supplies the rest. [`Constructor`] is the site for one query, over its
+/// own stacks or over stacks pooled with other queries; the shared
+/// multi-query evaluator adds a site for prefix walks shared by a group
+/// of queries.
+pub trait WalkSite<'s> {
+    /// The stack holding position `pos`'s candidates, sorted by
+    /// timestamp.
+    fn stack(&self, pos: usize) -> &'s AisStack;
+
+    /// Whether a candidate takes part at all. Rejected candidates are
+    /// skipped before they count as a step (a pooled stack's partition
+    /// key filter).
+    fn admit(&self, pos: usize, ev: &EventRef) -> bool;
+
+    /// Checks the predicates that binding `pos` decides, against the
+    /// partial assignment `chosen`; `false` prunes the branch.
+    fn bind(&mut self, chosen: &[Option<EventRef>], pos: usize) -> bool;
+
+    /// Counts one visited candidate (a DFS step).
+    fn step(&mut self);
+
+    /// Receives an assignment with every position bound.
+    fn complete(&mut self, chosen: &[Option<EventRef>]);
+}
+
+/// Fixed inputs of one walk.
+#[derive(Clone, Copy)]
+struct Bounds {
+    len: usize,
+    anchor: usize,
+    window: Duration,
+    cutoff: bool,
+}
+
+/// Enumerates every assignment of positions `0..len` that contains
+/// `anchor` at `anchor_pos`, in strict timestamp order with a span of at
+/// most `window`: the prefix below the anchor newest-first, then the
+/// suffix above it in ascending order, binding each position through
+/// `site`. With `opts.window_cutoff` each position's candidates are
+/// located by binary search; otherwise the whole stack is scanned and
+/// out-of-bound candidates are skipped after counting as steps.
+pub fn walk<'s>(
+    site: &mut impl WalkSite<'s>,
+    len: usize,
+    anchor_pos: usize,
+    anchor: &EventRef,
+    window: Duration,
+    opts: ConstructOpts,
+) {
+    let mut chosen: Vec<Option<EventRef>> = vec![None; len];
+    chosen[anchor_pos] = Some(Arc::clone(anchor));
+    // the anchor's already-decidable predicates prune before any descent
+    if !site.bind(&chosen, anchor_pos) {
+        return;
+    }
+    let b = Bounds {
+        len,
+        anchor: anchor_pos,
+        window,
+        cutoff: opts.window_cutoff,
+    };
+    extend_prefix(site, b, anchor_pos, &mut chosen);
+}
+
+/// Fills positions `b.anchor-1 .. 0` (descending), then hands off to
+/// [`extend_suffix`].
+fn extend_prefix<'s>(
+    site: &mut impl WalkSite<'s>,
+    b: Bounds,
+    filled_down_to: usize,
+    chosen: &mut [Option<EventRef>],
+) {
+    if filled_down_to == 0 {
+        extend_suffix(site, b, b.anchor, chosen);
+        return;
+    }
+    let pos = filled_down_to - 1;
+    let next_ts = chosen[pos + 1].as_ref().expect("slot above is bound").ts();
+    let anchor_ts = chosen[b.anchor].as_ref().expect("anchor bound").ts();
+    // span <= W and last >= anchor force every prefix ts >= anchor - W
+    let lo = anchor_ts.saturating_sub(b.window);
+    let stack = site.stack(pos);
+    let candidates: &[EventRef] = if b.cutoff {
+        stack.range(lo, next_ts)
+    } else {
+        stack.events()
+    };
+    // Iterate newest-first: matches closest to the anchor come out
+    // first, matching the classic engine's most-recent-first DFS.
+    for ev in candidates.iter().rev() {
+        if !site.admit(pos, ev) {
+            continue;
+        }
+        site.step();
+        if !b.cutoff && (ev.ts() < lo || ev.ts() >= next_ts) {
+            continue;
+        }
+        chosen[pos] = Some(Arc::clone(ev));
+        if site.bind(chosen, pos) {
+            extend_prefix(site, b, pos, chosen);
+        }
+        chosen[pos] = None;
+    }
+}
+
+/// Fills positions `b.anchor+1 .. b.len-1` (ascending); completes the
+/// assignment at the top.
+fn extend_suffix<'s>(
+    site: &mut impl WalkSite<'s>,
+    b: Bounds,
+    filled_up_to: usize,
+    chosen: &mut [Option<EventRef>],
+) {
+    if filled_up_to + 1 == b.len {
+        site.complete(chosen);
+        return;
+    }
+    let pos = filled_up_to + 1;
+    let prev_ts = chosen[pos - 1].as_ref().expect("slot below is bound").ts();
+    let first_ts = chosen[0].as_ref().expect("prefix complete").ts();
+    // strict sequence order and span <= W: prev < ts <= first + W
+    let lo = prev_ts.saturating_add(Duration::new(1));
+    let hi = first_ts
+        .saturating_add(b.window)
+        .saturating_add(Duration::new(1));
+    let stack = site.stack(pos);
+    let candidates: &[EventRef] = if b.cutoff {
+        stack.range(lo, hi)
+    } else {
+        stack.events()
+    };
+    for ev in candidates.iter() {
+        if !site.admit(pos, ev) {
+            continue;
+        }
+        site.step();
+        if !b.cutoff && (ev.ts() < lo || ev.ts() >= hi) {
+            continue;
+        }
+        chosen[pos] = Some(Arc::clone(ev));
+        if site.bind(chosen, pos) {
+            extend_suffix(site, b, pos, chosen);
+        }
+        chosen[pos] = None;
+    }
+}
+
 /// Enumerates pattern matches from a set of active instance stacks.
 ///
 /// The key operation is [`Constructor::matches_with`]: all matches that
@@ -77,114 +228,96 @@ impl Constructor {
         stats: &mut RuntimeStats,
         out: &mut Vec<Vec<EventRef>>,
     ) {
-        let m = self.query.positive_len();
-        assert_eq!(stacks.len(), m, "one stack per positive slot");
-        assert!(anchor_slot < m, "anchor slot out of range");
-
-        let mut chosen: Vec<Option<EventRef>> = vec![None; m];
-        chosen[anchor_slot] = Some(Arc::clone(anchor));
-
-        let mut walker = Walker {
-            query: &self.query,
-            stacks,
-            opts: self.opts,
+        assert_eq!(
+            stacks.len(),
+            self.query.positive_len(),
+            "one stack per positive slot"
+        );
+        self.matches_over(
+            |slot| &stacks[slot],
+            |_, _| true,
             anchor_slot,
-            window: self.query.window(),
+            anchor,
+            stats,
+            out,
+        );
+    }
+
+    /// Like [`Constructor::matches_with`], with slot `p`'s candidates in
+    /// `stack_of(p)` and only those `admit(p, event)` accepts taking part
+    /// (a pooled stack shared by several queries, filtered to the
+    /// anchor's partition key).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `anchor_slot` is out of range.
+    pub fn matches_over<'s>(
+        &self,
+        stack_of: impl Fn(usize) -> &'s AisStack,
+        admit: impl Fn(usize, &EventRef) -> bool,
+        anchor_slot: usize,
+        anchor: &EventRef,
+        stats: &mut RuntimeStats,
+        out: &mut Vec<Vec<EventRef>>,
+    ) {
+        let m = self.query.positive_len();
+        assert!(anchor_slot < m, "anchor slot out of range");
+        let mut site = QuerySite {
+            query: &self.query,
+            stack_of,
+            admit,
             stats,
             out,
         };
-        // Check the anchor's already-decidable predicates before descending.
-        if !check_new_binding(&self.query, &chosen, anchor_slot, walker.stats) {
-            return;
-        }
-        walker.extend_prefix(anchor_slot, &mut chosen);
+        walk(
+            &mut site,
+            m,
+            anchor_slot,
+            anchor,
+            self.query.window(),
+            self.opts,
+        );
     }
 }
 
-struct Walker<'a> {
+/// One query's walk: its own predicates, its stats, its match list.
+struct QuerySite<'a, F, A> {
     query: &'a Query,
-    stacks: &'a [AisStack],
-    opts: ConstructOpts,
-    anchor_slot: usize,
-    window: Duration,
+    stack_of: F,
+    admit: A,
     stats: &'a mut RuntimeStats,
     out: &'a mut Vec<Vec<EventRef>>,
 }
 
-impl Walker<'_> {
-    /// Fills slots `anchor_slot-1 .. 0` (descending), then hands off to
-    /// [`Walker::extend_suffix`].
-    fn extend_prefix(&mut self, filled_down_to: usize, chosen: &mut [Option<EventRef>]) {
-        if filled_down_to == 0 {
-            self.extend_suffix(self.anchor_slot, chosen);
-            return;
-        }
-        let slot = filled_down_to - 1;
-        let next_ts = chosen[slot + 1].as_ref().expect("slot above is bound").ts();
-        let anchor_ts = chosen[self.anchor_slot]
-            .as_ref()
-            .expect("anchor bound")
-            .ts();
-        // span <= W and last >= anchor force every prefix ts >= anchor - W
-        let lo = anchor_ts.saturating_sub(self.window);
-        let candidates: &[EventRef] = if self.opts.window_cutoff {
-            self.stacks[slot].range(lo, next_ts)
-        } else {
-            self.stacks[slot].events()
-        };
-        // Iterate newest-first: matches closest to the anchor come out
-        // first, matching the classic engine's most-recent-first DFS.
-        for ev in candidates.iter().rev() {
-            self.stats.dfs_steps += 1;
-            if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= next_ts) {
-                continue;
-            }
-            let ev = Arc::clone(ev);
-            chosen[slot] = Some(ev);
-            if check_new_binding(self.query, chosen, slot, self.stats) {
-                self.extend_prefix(slot, chosen);
-            }
-            chosen[slot] = None;
-        }
+impl<'s, F, A> WalkSite<'s> for QuerySite<'_, F, A>
+where
+    F: Fn(usize) -> &'s AisStack,
+    A: Fn(usize, &EventRef) -> bool,
+{
+    fn stack(&self, pos: usize) -> &'s AisStack {
+        (self.stack_of)(pos)
     }
 
-    /// Fills slots `anchor_slot+1 .. m-1` (ascending); emits on completion.
-    fn extend_suffix(&mut self, filled_up_to: usize, chosen: &mut [Option<EventRef>]) {
-        let m = self.query.positive_len();
-        if filled_up_to == m - 1 {
-            let events: Vec<EventRef> = chosen
+    fn admit(&self, pos: usize, ev: &EventRef) -> bool {
+        (self.admit)(pos, ev)
+    }
+
+    fn bind(&mut self, chosen: &[Option<EventRef>], pos: usize) -> bool {
+        check_new_binding(self.query, chosen, pos, self.stats)
+    }
+
+    fn step(&mut self) {
+        self.stats.dfs_steps += 1;
+    }
+
+    fn complete(&mut self, chosen: &[Option<EventRef>]) {
+        self.stats.matches_constructed += 1;
+        self.out.push(
+            chosen
                 .iter()
                 .map(|c| Arc::clone(c.as_ref().expect("complete")))
-                .collect();
-            self.stats.matches_constructed += 1;
-            self.out.push(events);
-            return;
-        }
-        let slot = filled_up_to + 1;
-        let prev_ts = chosen[slot - 1].as_ref().expect("slot below is bound").ts();
-        let first_ts = chosen[0].as_ref().expect("prefix complete").ts();
-        // strict sequence order and span <= W: prev < ts <= first + W
-        let lo = prev_ts.saturating_add(Duration::new(1));
-        let hi = first_ts
-            .saturating_add(self.window)
-            .saturating_add(Duration::new(1));
-        let candidates: &[EventRef] = if self.opts.window_cutoff {
-            self.stacks[slot].range(lo, hi)
-        } else {
-            self.stacks[slot].events()
-        };
-        for ev in candidates.iter() {
-            self.stats.dfs_steps += 1;
-            if !self.opts.window_cutoff && (ev.ts() < lo || ev.ts() >= hi) {
-                continue;
-            }
-            let ev = Arc::clone(ev);
-            chosen[slot] = Some(ev);
-            if check_new_binding(self.query, chosen, slot, self.stats) {
-                self.extend_suffix(slot, chosen);
-            }
-            chosen[slot] = None;
-        }
+                .collect(),
+        );
     }
 }
 

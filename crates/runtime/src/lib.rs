@@ -32,7 +32,7 @@ pub mod purge;
 mod stack;
 mod stats;
 
-pub use construct::{ConstructOpts, Constructor};
+pub use construct::{walk, ConstructOpts, Constructor, WalkSite};
 pub use negation::{regions, seal_deadline, NegationIndex, Region};
 pub use partition::{PartitionKey, PartitionMap};
 pub use r#match::{Match, MatchKey};
