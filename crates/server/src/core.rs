@@ -971,6 +971,12 @@ impl EngineCore {
         std::mem::replace(&mut self.dirty, false)
     }
 
+    /// Sets the flag [`EngineCore::take_dirty`] cleared, after a persist
+    /// that did not reach the disk.
+    pub(crate) fn mark_dirty(&mut self) {
+        self.dirty = true;
+    }
+
     /// Stream items ingested so far.
     pub fn position(&self) -> u64 {
         self.position

@@ -321,7 +321,12 @@ impl Drop for Server {
 fn persist_if_dirty(core: &mut EngineCore, store_path: &Option<PathBuf>) {
     if core.take_dirty() {
         if let Some(path) = store_path {
-            let _ = core.store().save(path);
+            if let Err(e) = core.store().save(path) {
+                eprintln!("sequin: saving the store to {} failed: {e}", path.display());
+                // keep the change pending so the next persist, at the
+                // latest the shutdown one, writes it again
+                core.mark_dirty();
+            }
         }
     }
 }

@@ -341,6 +341,58 @@ fn crash_restart_resumes_exactly_once_over_tcp() {
 }
 
 #[test]
+fn failed_store_write_is_retried_at_shutdown() {
+    let (reg, stream) = workload(200, 61);
+    let dir = {
+        let mut p = std::env::temp_dir();
+        p.push(format!("sequin-test-missing-dir-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&p);
+        p
+    };
+    let store = dir.join("store.ckpt");
+    let mk_config = || {
+        let mut c = ServerConfig::new(CoreConfig {
+            checkpoint_every: Some(25),
+            ..core_config(&reg, DisorderPolicy::Conservative)
+        });
+        c.queries = vec![Q01.to_owned()];
+        c.store_path = Some(store.clone());
+        c
+    };
+
+    // every persist fails while the store's directory is missing
+    let mut server = Server::start(mk_config()).unwrap();
+    let addr = server.listen("127.0.0.1:0").unwrap().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    client.hello(reg.fingerprint(), "missing-dir").unwrap();
+    client.subscribe(Q01).unwrap();
+    for item in &stream {
+        client.send_item(item).unwrap();
+    }
+    client.drain().unwrap();
+    client.bye();
+    assert!(!store.exists());
+
+    // the directory appears; the graceful shutdown must write the store
+    std::fs::create_dir_all(&dir).unwrap();
+    server.shutdown();
+    sequin_engine::CheckpointStore::load(&store).expect("shutdown persists the store");
+
+    let mut server = Server::start(mk_config()).unwrap();
+    let addr = server.listen("127.0.0.1:0").unwrap().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let (resume_from, _) = client.hello(reg.fingerprint(), "after-retry").unwrap();
+    assert_eq!(
+        resume_from,
+        stream.len() as u64,
+        "resumes at the full position"
+    );
+    client.bye();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn recovery_fallback_drops_a_postmortem_bundle() {
     let (reg, stream) = workload(300, 53);
     let store = temp_store("recovery-bundle");
