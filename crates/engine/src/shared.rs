@@ -566,8 +566,8 @@ impl SharedMultiEngine {
         });
         let mut raw: Vec<Vec<EventRef>> = Vec::new();
         st.ctor.matches_over(
-            |slot| &stacks[slot_stack[slot]],
-            |slot, ev| match (scheme, &key) {
+            move |slot| &stacks[slot_stack[slot]],
+            move |slot, ev| match (scheme, &key) {
                 (Some(s), Some(k)) => {
                     ev.field(s.fields[slot])
                         .and_then(PartitionKey::from_value)

@@ -56,7 +56,6 @@ pub trait WalkSite<'s> {
 }
 
 /// Fixed inputs of one walk.
-#[derive(Clone, Copy)]
 struct Bounds {
     len: usize,
     anchor: usize,
@@ -71,6 +70,10 @@ struct Bounds {
 /// `site`. With `opts.window_cutoff` each position's candidates are
 /// located by binary search; otherwise the whole stack is scanned and
 /// out-of-bound candidates are skipped after counting as steps.
+///
+/// # Panics
+///
+/// Panics if `anchor_pos >= len`.
 pub fn walk<'s>(
     site: &mut impl WalkSite<'s>,
     len: usize,
@@ -91,14 +94,14 @@ pub fn walk<'s>(
         window,
         cutoff: opts.window_cutoff,
     };
-    extend_prefix(site, b, anchor_pos, &mut chosen);
+    extend_prefix(site, &b, anchor_pos, &mut chosen);
 }
 
 /// Fills positions `b.anchor-1 .. 0` (descending), then hands off to
 /// [`extend_suffix`].
 fn extend_prefix<'s>(
     site: &mut impl WalkSite<'s>,
-    b: Bounds,
+    b: &Bounds,
     filled_down_to: usize,
     chosen: &mut [Option<EventRef>],
 ) {
@@ -139,7 +142,7 @@ fn extend_prefix<'s>(
 /// assignment at the top.
 fn extend_suffix<'s>(
     site: &mut impl WalkSite<'s>,
-    b: Bounds,
+    b: &Bounds,
     filled_up_to: usize,
     chosen: &mut [Option<EventRef>],
 ) {
