@@ -342,7 +342,7 @@ impl SharedMultiEngine {
         for ep in &mut self.epochs {
             ep.wm.seal();
         }
-        self.drain_sealed();
+        self.drain_all_sealed();
         self.collect_outputs()
     }
 
@@ -436,7 +436,7 @@ impl SharedMultiEngine {
                 }
             }
         }
-        self.drain_sealed();
+        self.drain_all_sealed();
         for eix in 0..self.epochs.len() {
             if self.config.purge.due(self.epochs[eix].seq.get()) {
                 self.run_purge(eix);
@@ -665,7 +665,7 @@ impl SharedMultiEngine {
     }
 
     /// Emits every query's pending matches whose regions sealed.
-    fn drain_sealed(&mut self) {
+    fn drain_all_sealed(&mut self) {
         for st in &mut self.states {
             let ep = &self.epochs[st.epoch];
             st.emit.drain_sealed(ep.seq, &ep.wm, &mut st.phased);

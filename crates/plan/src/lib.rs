@@ -350,7 +350,7 @@ pub fn compile(specs: &[QuerySpec], partitioned: bool) -> SharedPlan {
     // 1. intern pooled stacks
     for (qix, spec) in specs.iter().enumerate() {
         let q = &spec.query;
-        let mut stack_of_slot = Vec::with_capacity(q.positive_len());
+        let mut stack_of_slot = Vec::new();
         for slot in 0..q.positive_len() {
             let sig = slot_sig(q, slot, spec.epoch, partitioned);
             let six = *sig_ix.entry(sig.clone()).or_insert_with(|| {
