@@ -10,8 +10,8 @@
 //!
 //! ## One evaluation body
 //!
-//! The evaluator shares its per-query body with [`crate::NativeEngine`]
-//! rather than replicating it. Construction is the runtime's single walk
+//! The evaluator runs the same per-query code as
+//! [`crate::NativeEngine`]. Construction is the runtime's single walk
 //! ([`sequin_runtime::walk`]): a query's own anchors run
 //! [`Constructor::matches_over`] on its pooled stacks, filtered to the
 //! anchor's partition key when the query shards (a key-filtered pooled
