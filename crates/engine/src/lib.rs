@@ -63,7 +63,7 @@ pub use buffer::{BufferedEngine, KSlackBuffer};
 pub use checkpoint::{CheckpointPolicy, CheckpointStore, Checkpointer};
 pub use config::{AdaptiveK, DisorderPolicy, EngineConfig, WatermarkSource};
 pub use inorder::InOrderEngine;
-pub use multi::{MultiEngine, QueryId};
+pub use multi::{open_query_blobs, seal_query_blobs, MultiEngine, QueryId};
 pub use native::NativeEngine;
 pub use output::{OutputItem, OutputKind};
 pub use sharded::{RouteStats, ShardedEngine};

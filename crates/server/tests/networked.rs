@@ -590,8 +590,12 @@ fn failed_output_write_detaches_only_that_subscriber() {
     for item in first {
         b.send_item(item).unwrap();
     }
-    // STATS is answered after every earlier message of the same session
+    // STATS is answered after every earlier message of the same session,
+    // so B's reply means the engine ingested the first half; A's reply
+    // then leaves through A's sink after the OUTPUT frames that ingest
+    // wrote there, so A's reader has them once it returns
     b.stats().unwrap();
+    a.stats().unwrap();
     assert!(
         !a.take_outputs().is_empty(),
         "A was served before the break"

@@ -237,9 +237,9 @@ fn sharded_server_serves_shard_labelled_series() {
 
     let mut client = Client::connect(&addr).unwrap();
     client.hello(reg.fingerprint(), "shard-feeder").unwrap();
-    // partitionable (tag equality chain): the hybrid backend gives this
-    // query a routed 3-worker pool rather than hosting it on the shared
-    // plan
+    // partitionable (tag equality chain): at shards > 1 the core gives
+    // this query a routed 3-worker pool rather than hosting it on the
+    // shared plan
     client
         .subscribe("PATTERN SEQ(T0 a, T1 b) WHERE a.tag == b.tag WITHIN 20")
         .unwrap();

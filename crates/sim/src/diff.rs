@@ -58,8 +58,9 @@ pub enum Path {
     SharedPlan,
     /// Shared-plan batched ingestion != independent evaluation.
     SharedBatched,
-    /// Shared-plan durable crash + resume != independent evaluation
-    /// (exactly-once, including a backend switch on restart).
+    /// Durable core crash + resume != independent evaluation
+    /// (exactly-once, resuming at two shards, which moves every
+    /// partitionable query from the shared plan onto a routed pool).
     SharedCrashResume,
     /// Sharded independent evaluation (worker count) != shared-plan
     /// evaluation of the same query set.

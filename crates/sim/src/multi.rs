@@ -283,9 +283,10 @@ pub fn check_multi_case(case: &MultiCase, sabotage: Sabotage) -> Vec<Mismatch> {
         Ok(())
     };
 
-    // durable shared-plan core, crash mid-stream, resumed as an
-    // independent *sharded* core: exactly-once deliveries per query
-    // across the backend switch (policies ride the checkpoint envelope)
+    // durable single-shard core, crash mid-stream, resumed at two shards:
+    // queries sharding can partition move from the plan onto routed pools,
+    // the rest stay on the plan, and deliveries stay exactly-once per query
+    // across the move (policies ride the checkpoint envelope)
     {
         let mut core_cfg = CoreConfig::new(Arc::clone(&registry), Strategy::Native, sut);
         core_cfg.checkpoint_every = Some(case.config.ckpt_every.max(1));
@@ -304,7 +305,6 @@ pub fn check_multi_case(case: &MultiCase, sabotage: Sabotage) -> Vec<Mismatch> {
                 let saved = core.store().clone();
                 drop(core); // crash: only the persisted store survives
                 let mut resumed_cfg = core_cfg;
-                resumed_cfg.shared_plan = false;
                 resumed_cfg.shards = 2;
                 let (mut core, replay_from) = EngineCore::resume(resumed_cfg, saved);
                 for (qx, (text, want)) in texts.iter().zip(&case.policies).enumerate() {
