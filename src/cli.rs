@@ -2159,7 +2159,7 @@ fn sim_multi_json(o: &SimCliOptions, report: &sequin_sim::MultiReport) -> String
 /// `sequin sim --multi`: the multi-query differential mode — generated
 /// query sets with overlapping prefixes, shared-plan evaluation checked
 /// per query against independent engines, across item-by-item, batched,
-/// crash/resume-with-backend-switch, sharded, and loopback paths.
+/// crash/resume (resumed at two shards), sharded, and loopback paths.
 fn run_sim_multi(o: &SimCliOptions) -> Result<String, String> {
     // single-case replay: regenerate, check, and show the verdict
     if let Some(case_ix) = o.replay_case {
